@@ -23,7 +23,12 @@ struct IntersectionGraph {
   [[nodiscard]] bool adjacent(std::int32_t a, std::int32_t b) const;
 };
 
-/// Builds the WIG with the O(depth) tree-aware overlap test.
+/// Builds the WIG from the schedule tree (Sec. 8.4): only buffers whose
+/// least parents are ancestor-related get a first-window test, found as
+/// preorder subtree ranges over buffers counting-sorted by least parent;
+/// pairs in disjoint subtrees are never examined. Whole-period buffers
+/// (lca == kNoTreeNode) are adjacent to every other buffer. Cost is
+/// O(n + tree nodes + ancestor-related pairs * periodic components).
 [[nodiscard]] IntersectionGraph build_intersection_graph(
     const ScheduleTree& tree, const std::vector<BufferLifetime>& lifetimes);
 

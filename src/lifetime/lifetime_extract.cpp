@@ -113,30 +113,27 @@ std::vector<BufferLifetime> extract_lifetimes(const Graph& g,
   return lifetimes;
 }
 
+bool first_window_overlaps(const BufferLifetime& hi,
+                           const BufferLifetime& lo) {
+  // Translation symmetry across the loops enclosing hi.lca: comparing
+  // against hi's first burst decides for all bursts.
+  const std::int64_t s = hi.interval.first_start();
+  return lo.interval.meets(s, s + hi.interval.burst_duration());
+}
+
 bool lifetimes_overlap(const ScheduleTree& tree, const BufferLifetime& a,
                        const BufferLifetime& b) {
   if (a.lca == kNoTreeNode || b.lca == kNoTreeNode) {
     // Whole-period lifetimes overlap everything.
     return true;
   }
-  const BufferLifetime* hi = nullptr;  // buffer whose lca is the ancestor
-  const BufferLifetime* lo = nullptr;
   if (tree.is_ancestor_or_self(a.lca, b.lca)) {
-    hi = &a;
-    lo = &b;
-  } else if (tree.is_ancestor_or_self(b.lca, a.lca)) {
-    hi = &b;
-    lo = &a;
-  } else {
-    return false;  // disjoint subtrees execute at disjoint times
+    return first_window_overlaps(a, b);
   }
-  // Translation symmetry across the loops enclosing hi->lca: comparing
-  // against hi's first burst decides for all bursts.
-  const std::int64_t s = hi->interval.first_start();
-  const std::int64_t d = hi->interval.burst_duration();
-  if (lo->interval.live_at(s)) return true;
-  const auto next = lo->interval.next_start_at_or_after(s);
-  return next.has_value() && *next < s + d;
+  if (tree.is_ancestor_or_self(b.lca, a.lca)) {
+    return first_window_overlaps(b, a);
+  }
+  return false;  // disjoint subtrees execute at disjoint times
 }
 
 }  // namespace sdf

@@ -35,12 +35,19 @@ struct BufferLifetime {
 [[nodiscard]] std::vector<BufferLifetime> extract_lifetimes(
     const Graph& g, const Repetitions& q, const ScheduleTree& tree);
 
-/// Schedule-tree-aware overlap test, O(tree depth): two buffers whose least
-/// parents live in disjoint subtrees can never be simultaneously live;
-/// otherwise a single first-window comparison decides (translation symmetry
-/// across the common enclosing loops).
+/// Schedule-tree-aware overlap test: an O(1) ancestry check, then at most
+/// one first-window comparison, linear in the periodic components of one
+/// buffer. Two buffers whose least parents live in disjoint subtrees can
+/// never be simultaneously live; otherwise a single first-window comparison
+/// decides (translation symmetry across the common enclosing loops).
 [[nodiscard]] bool lifetimes_overlap(const ScheduleTree& tree,
                                      const BufferLifetime& a,
                                      const BufferLifetime& b);
+
+/// The first-window comparison behind lifetimes_overlap. Requires
+/// `hi.lca` to be an ancestor-or-self of `lo.lca` (both in the tree):
+/// true when some burst of `lo` meets the first burst of `hi`.
+[[nodiscard]] bool first_window_overlaps(const BufferLifetime& hi,
+                                         const BufferLifetime& lo);
 
 }  // namespace sdf

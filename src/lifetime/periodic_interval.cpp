@@ -50,40 +50,36 @@ std::int64_t PeriodicInterval::occurrences() const {
   return n;
 }
 
-bool PeriodicInterval::live_at(std::int64_t t) const {
-  std::int64_t rem = t - start_;
-  if (rem < 0) return false;
+PeriodicInterval::Decomposition PeriodicInterval::decompose(
+    std::int64_t t) const {
+  // High digit first. Incrementing the lowest digit that can still grow
+  // (and zeroing the digits below it) reaches the burst after `burst`.
+  Decomposition d{start_, t - start_, std::nullopt};
   for (std::size_t i = periods_.size(); i-- > 0;) {
-    const std::int64_t k = std::min(rem / periods_[i], counts_[i] - 1);
-    rem -= k * periods_[i];
+    const std::int64_t k = std::min(d.rem / periods_[i], counts_[i] - 1);
+    if (k + 1 < counts_[i]) d.next = d.burst + (k + 1) * periods_[i];
+    d.rem -= k * periods_[i];
+    d.burst += k * periods_[i];
   }
-  return rem < dur_;
+  return d;
+}
+
+bool PeriodicInterval::live_at(std::int64_t t) const {
+  return t >= start_ && decompose(t).rem < dur_;
 }
 
 std::optional<std::int64_t> PeriodicInterval::next_start_at_or_after(
     std::int64_t t) const {
   if (t <= start_) return start_;
-  std::int64_t rem = t - start_;
-  std::vector<std::int64_t> k(periods_.size(), 0);
-  for (std::size_t i = periods_.size(); i-- > 0;) {
-    k[i] = std::min(rem / periods_[i], counts_[i] - 1);
-    rem -= k[i] * periods_[i];
-  }
-  if (rem > 0) {
-    // The greedy burst starts before t: advance the mixed-radix counter.
-    std::size_t i = 0;
-    for (; i < k.size(); ++i) {
-      if (k[i] + 1 < counts_[i]) {
-        ++k[i];
-        for (std::size_t j = 0; j < i; ++j) k[j] = 0;
-        break;
-      }
-    }
-    if (i == k.size()) return std::nullopt;  // already past the last burst
-  }
-  std::int64_t s = start_;
-  for (std::size_t i = 0; i < k.size(); ++i) s += k[i] * periods_[i];
-  return s;
+  const Decomposition d = decompose(t);
+  if (d.rem == 0) return d.burst;
+  return d.next;  // nullopt: already past the last burst
+}
+
+bool PeriodicInterval::meets(std::int64_t from, std::int64_t to) const {
+  if (from <= start_) return start_ < to;
+  const Decomposition d = decompose(from);
+  return d.rem < dur_ || (d.next.has_value() && *d.next < to);
 }
 
 bool PeriodicInterval::overlaps(const PeriodicInterval& other) const {

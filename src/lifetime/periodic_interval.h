@@ -53,16 +53,28 @@ class PeriodicInterval {
   [[nodiscard]] std::optional<std::int64_t> next_start_at_or_after(
       std::int64_t t) const;
 
+  /// True when some burst intersects the window [from, to). One greedy
+  /// decomposition: O(components), no allocation.
+  [[nodiscard]] bool meets(std::int64_t from, std::int64_t to) const;
+
   /// Exact overlap test. Cost O(min(bursts) * components) worst case via a
   /// two-pointer walk, but terminates as soon as an overlap is found; the
-  /// schedule-tree-aware test in lifetime_extract.h is O(depth) and should
-  /// be preferred for same-tree buffers.
+  /// schedule-tree-aware test in lifetime_extract.h (O(1) ancestry plus one
+  /// meets() call) should be preferred for same-tree buffers.
   [[nodiscard]] bool overlaps(const PeriodicInterval& other) const;
 
   friend bool operator==(const PeriodicInterval&,
                          const PeriodicInterval&) = default;
 
  private:
+  /// Greedy mixed-radix decomposition of t >= start_ (Fig. 18).
+  struct Decomposition {
+    std::int64_t burst;  ///< start of the last burst at or before t
+    std::int64_t rem;    ///< t - burst
+    std::optional<std::int64_t> next;  ///< start of the burst after `burst`
+  };
+  [[nodiscard]] Decomposition decompose(std::int64_t t) const;
+
   std::int64_t start_ = 0;
   std::int64_t dur_ = 1;
   // Ascending periods with the mixed-radix property; counts_ parallel.

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "lifetime/schedule_tree.h"
 #include "pipeline/compile.h"
 #include "sched/chain_dp.h"
 #include "sched/cyclic.h"
@@ -246,6 +247,26 @@ TEST(Errors, EveryThrowSiteProducesItsErrorCode) {
     }
     EXPECT_TRUE(threw) << "site did not throw";
   }
+}
+
+TEST(Errors, ScheduleTreeArithmeticOverflowIsTyped) {
+  Graph g("g");
+  const Schedule a = Schedule::leaf(g.add_actor("A"));
+  const Schedule b = Schedule::leaf(g.add_actor("B"));
+  const Schedule c = Schedule::leaf(g.add_actor("C"));
+  const std::int64_t big = std::int64_t{1} << 32;
+  // A single-child loop folds its factor into the child: 2^32 * 2^32.
+  EXPECT_THROW(ScheduleTree(g, Schedule::loop(big, {Schedule::loop(
+                                                       big, {a, b})})),
+               ArithmeticOverflowError);
+  // dur(root) = 2^32 * (1 + 2^32 * 2) exceeds int64.
+  EXPECT_THROW(
+      ScheduleTree(g, Schedule::loop(big, {a, Schedule::loop(big, {b, c})})),
+      ArithmeticOverflowError);
+  // Just inside the range: dur(root) = 2^30 * (1 + 2^31 * 2) < 2^63.
+  const ScheduleTree fits(
+      g, Schedule::loop(big / 4, {a, Schedule::loop(big / 2, {b, c})}));
+  EXPECT_EQ(fits.iterations_of(fits.leaf_of(1)), (big / 4) * (big / 2));
 }
 
 TEST(Errors, EveryErrorCodeIsCoveredBySomeSite) {

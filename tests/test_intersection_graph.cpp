@@ -2,15 +2,90 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
+#include "bench_util.h"
 #include "graphs/cddat.h"
+#include "graphs/random_sdf.h"
 #include "graphs/satellite.h"
+#include "obs/counters.h"
+#include "obs/trace.h"
+#include "pipeline/compile.h"
 #include "sched/apgan.h"
-#include "sched/sdppo.h"
 #include "sdf/analysis.h"
 #include "test_util.h"
 
 namespace sdf {
 namespace {
+
+/// Turns telemetry on for one test and back off (and cleared) after it.
+struct CountersOn {
+  CountersOn() {
+    obs::set_enabled(true);
+    obs::reset();
+  }
+  ~CountersOn() {
+    obs::set_enabled(false);
+    obs::reset();
+  }
+};
+
+/// For every {RPMC, APGAN} x {dppo, sdppo} compile of `g`: the pipeline's
+/// tree-aware WIG equals the generic oracle, and the window tests it ran
+/// stay within the n(n-1)/2 pairs the oracle examines.
+void expect_tree_aware_matches_generic(const Graph& g) {
+  for (const OrderHeuristic order :
+       {OrderHeuristic::kRpmc, OrderHeuristic::kApgan}) {
+    for (const LoopOptimizer optimizer :
+         {LoopOptimizer::kDppo, LoopOptimizer::kSdppo}) {
+      CompileOptions options;
+      options.order = order;
+      options.optimizer = optimizer;
+      const CompileResult r = compile(g, options);
+      const auto n = static_cast<std::int64_t>(r.lifetimes.size());
+      const ScheduleTree tree(g, r.schedule);
+      const CountersOn counters;
+      const IntersectionGraph fast =
+          build_intersection_graph(tree, r.lifetimes);
+      const std::int64_t tests = obs::counter("alloc.wig.pairs_checked");
+      const IntersectionGraph slow =
+          build_intersection_graph_generic(r.lifetimes);
+      const std::string what = g.name() + " order=" +
+                               std::to_string(static_cast<int>(order)) +
+                               " optimizer=" +
+                               std::to_string(static_cast<int>(optimizer));
+      EXPECT_EQ(fast.adjacency, slow.adjacency) << what;
+      EXPECT_EQ(r.wig.adjacency, fast.adjacency) << what;
+      EXPECT_EQ(fast.weights, slow.weights) << what;
+      EXPECT_LE(tests, n * (n - 1) / 2) << what;
+    }
+  }
+}
+
+Graph seeded_random_graph(int actors, RandomRateMode mode) {
+  std::mt19937 rng(static_cast<std::uint32_t>(actors) * 2 +
+                   static_cast<std::uint32_t>(mode));
+  RandomSdfOptions options;
+  options.num_actors = actors;
+  options.rate_mode = mode;
+  return random_sdf_graph(options, rng);
+}
+
+/// Seeded random graphs of `actors` actors in `mode`, checked as above.
+void expect_random_matches_generic(int actors, RandomRateMode mode) {
+  expect_tree_aware_matches_generic(seeded_random_graph(actors, mode));
+}
+
+/// `g` plus whole-period buffers (lca == kNoTreeNode): a delayed parallel
+/// copy of every fifth edge.
+Graph with_whole_period_buffers(Graph g) {
+  const std::size_t edges = g.num_edges();
+  for (std::size_t e = 0; e < edges; e += 5) {
+    const Edge copy = g.edge(static_cast<EdgeId>(e));
+    g.add_edge(copy.src, copy.snk, copy.prod, copy.cns, copy.cns);
+  }
+  return g;
+}
 
 std::pair<IntersectionGraph, std::vector<BufferLifetime>> wig_for(
     const Graph& g, const Schedule& s) {
@@ -47,15 +122,46 @@ TEST(IntersectionGraph, AdjacencyIsSymmetricAndIrreflexive) {
 }
 
 TEST(IntersectionGraph, TreeAwareMatchesGenericOnPracticalGraphs) {
-  for (const Graph& g : {cd_to_dat(), satellite_receiver()}) {
-    const Repetitions q = repetitions_vector(g);
-    const SdppoResult opt = sdppo(g, q, apgan(g, q).lexorder);
-    const ScheduleTree tree(g, opt.schedule);
-    const auto lifetimes = extract_lifetimes(g, q, tree);
-    const IntersectionGraph fast = build_intersection_graph(tree, lifetimes);
-    const IntersectionGraph slow = build_intersection_graph_generic(lifetimes);
-    EXPECT_EQ(fast.adjacency, slow.adjacency) << g.name();
+  expect_tree_aware_matches_generic(cd_to_dat());
+  for (const Graph& g : bench::table1_systems()) {
+    expect_tree_aware_matches_generic(g);
   }
+}
+
+TEST(IntersectionGraph, TreeAwareMatchesGenericOnRandomGraphs) {
+  for (const int actors : {50, 200}) {
+    for (const RandomRateMode mode : {RandomRateMode::kBoundedRepetitions,
+                                      RandomRateMode::kCompoundingRates}) {
+      expect_random_matches_generic(actors, mode);
+    }
+  }
+}
+
+TEST(IntersectionGraph, TreeAwareMatchesGenericWithWholePeriodBuffers) {
+  expect_tree_aware_matches_generic(with_whole_period_buffers(cd_to_dat()));
+  for (const RandomRateMode mode : {RandomRateMode::kBoundedRepetitions,
+                                    RandomRateMode::kCompoundingRates}) {
+    expect_tree_aware_matches_generic(
+        with_whole_period_buffers(seeded_random_graph(50, mode)));
+  }
+}
+
+// The large sizes cost seconds of loop DP per compile: tier2 (suites whose
+// name ends in Tier2 are labeled tier2 in tests/CMakeLists.txt).
+TEST(IntersectionGraphTier2, TreeAwareMatchesGenericAt600ActorsBounded) {
+  expect_random_matches_generic(600, RandomRateMode::kBoundedRepetitions);
+}
+
+TEST(IntersectionGraphTier2, TreeAwareMatchesGenericAt600ActorsCompounding) {
+  expect_random_matches_generic(600, RandomRateMode::kCompoundingRates);
+}
+
+TEST(IntersectionGraphTier2, TreeAwareMatchesGenericAt1000ActorsBounded) {
+  expect_random_matches_generic(1000, RandomRateMode::kBoundedRepetitions);
+}
+
+TEST(IntersectionGraphTier2, TreeAwareMatchesGenericAt1000ActorsCompounding) {
+  expect_random_matches_generic(1000, RandomRateMode::kCompoundingRates);
 }
 
 TEST(IntersectionGraph, DisjointChainsShareNothing) {
@@ -70,6 +176,20 @@ TEST(IntersectionGraph, DisjointChainsShareNothing) {
   const auto [wig, lifetimes] = wig_for(g, s);
   EXPECT_TRUE(wig.adjacency[0].empty());
   EXPECT_TRUE(wig.adjacency[1].empty());
+
+  // With the chains in sibling subtrees the pair is never window-tested:
+  // pairs_checked counts tests actually run, not n(n-1)/2.
+  const CountersOn counters;
+  const auto [split, split_lifetimes] = wig_for(
+      g, Schedule::sequence(
+             {Schedule::sequence({Schedule::leaf(a), Schedule::leaf(b)}),
+              Schedule::sequence({Schedule::leaf(c), Schedule::leaf(d)})}));
+  EXPECT_TRUE(split.adjacency[0].empty());
+  EXPECT_TRUE(split.adjacency[1].empty());
+  EXPECT_EQ(obs::counter("alloc.wig.pairs_checked"), 0);
+  EXPECT_EQ(obs::counter("alloc.wig.edges"), 0);
+  (void)build_intersection_graph_generic(split_lifetimes);
+  EXPECT_EQ(obs::counter("alloc.wig.pairs_checked"), 1);  // the oracle: all
 }
 
 TEST(IntersectionGraph, DelayBufferConflictsWithEverything) {

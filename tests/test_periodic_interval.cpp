@@ -164,6 +164,33 @@ TEST(PeriodicInterval, OverlapsMatchesBruteForce) {
   }
 }
 
+TEST(PeriodicInterval, MeetsMatchesBurstEnumeration) {
+  // meets() and live_at() share one greedy decomposition; check both
+  // against bursts enumerated independently of it.
+  const std::vector<PeriodicInterval> instances = {
+      PeriodicInterval(0, 2, {4, 9}, {2, 2}),
+      PeriodicInterval(3, 2, {4, 9}, {2, 2}),
+      PeriodicInterval(1, 1, {3}, {4}),
+      PeriodicInterval(2, 3, {}, {}),
+      PeriodicInterval(0, 1, {2, 8}, {2, 3}),
+      PeriodicInterval(0, 2, {4, 13, 28}, {2, 2, 2}),
+  };
+  for (const auto& p : instances) {
+    const auto starts = all_starts(p);
+    const std::int64_t d = p.burst_duration();
+    for (std::int64_t from = -3; from < 64; ++from) {
+      bool live = false;
+      for (const std::int64_t s : starts) live |= s <= from && from < s + d;
+      EXPECT_EQ(p.live_at(from), live) << from;
+      for (std::int64_t to = from + 1; to <= from + 12; ++to) {
+        bool met = false;
+        for (const std::int64_t s : starts) met |= s < to && from < s + d;
+        EXPECT_EQ(p.meets(from, to), met) << "[" << from << ", " << to << ")";
+      }
+    }
+  }
+}
+
 TEST(PeriodicInterval, EqualityIsStructural) {
   EXPECT_EQ(PeriodicInterval(0, 2, {4}, {2}), PeriodicInterval(0, 2, {4}, {2}));
   EXPECT_NE(PeriodicInterval(0, 2, {4}, {2}), PeriodicInterval(1, 2, {4}, {2}));

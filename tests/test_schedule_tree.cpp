@@ -2,12 +2,64 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
+#include "graphs/random_sdf.h"
+#include "pipeline/compile.h"
 #include "test_util.h"
 
 namespace sdf {
 namespace {
 
 using testing::fig2_graph;
+
+// Parent-pointer references for the O(1) preorder answers.
+bool walk_is_ancestor_or_self(const ScheduleTree& tree, TreeNodeId anc,
+                              TreeNodeId node) {
+  for (; node != kNoTreeNode; node = tree.node(node).parent) {
+    if (node == anc) return true;
+  }
+  return false;
+}
+
+std::int64_t walk_iterations_of(const ScheduleTree& tree, TreeNodeId v) {
+  std::int64_t product = 1;
+  for (; v != kNoTreeNode; v = tree.node(v).parent) {
+    product *= tree.node(v).loop;
+  }
+  return product;
+}
+
+/// Every node and every ordered node pair: preorder numbering, and the
+/// O(1) ancestry / iteration answers equal the parent-pointer walks.
+void expect_preorder_invariants(const ScheduleTree& tree) {
+  const auto n = static_cast<TreeNodeId>(tree.size());
+  EXPECT_EQ(tree.root(), 0);
+  EXPECT_EQ(tree.node(tree.root()).subtree_size, n);
+  std::int64_t mismatches = 0;
+  for (TreeNodeId v = 0; v < n; ++v) {
+    const TreeNode& node = tree.node(v);
+    EXPECT_EQ(tree.iterations_of(v), walk_iterations_of(tree, v)) << v;
+    if (!node.is_leaf()) {
+      // Preorder: the left subtree follows its parent, the right follows
+      // the left subtree.
+      EXPECT_EQ(node.left, v + 1);
+      EXPECT_EQ(node.right, v + 1 + tree.node(node.left).subtree_size);
+      EXPECT_EQ(node.subtree_size, 1 + tree.node(node.left).subtree_size +
+                                       tree.node(node.right).subtree_size);
+    } else {
+      EXPECT_EQ(node.subtree_size, 1);
+    }
+    EXPECT_FALSE(tree.is_ancestor_or_self(kNoTreeNode, v));
+    for (TreeNodeId w = 0; w < n; ++w) {
+      if (tree.is_ancestor_or_self(v, w) !=
+          walk_is_ancestor_or_self(tree, v, w)) {
+        ++mismatches;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
 
 TEST(ScheduleTree, PaperTimeBaseExample) {
   // Sec. 8.1: 2(A 3B) takes 4 time steps; first A at time 0, the 3B leaf
@@ -155,6 +207,70 @@ TEST(ScheduleTree, DepthsAreConsistent) {
                                  tree.node(n.right).dur));
     }
   }
+}
+
+TEST(ScheduleTree, PreorderAnswersMatchParentWalksOnRandomGraphs) {
+  for (const int actors : {30, 120}) {
+    for (const RandomRateMode mode : {RandomRateMode::kBoundedRepetitions,
+                                      RandomRateMode::kCompoundingRates}) {
+      std::mt19937 rng(static_cast<std::uint32_t>(actors));
+      RandomSdfOptions options;
+      options.num_actors = actors;
+      options.rate_mode = mode;
+      const Graph g = random_sdf_graph(options, rng);
+      for (const OrderHeuristic order :
+           {OrderHeuristic::kRpmc, OrderHeuristic::kApgan}) {
+        CompileOptions co;
+        co.order = order;
+        const ScheduleTree tree(g, compile(g, co).schedule);
+        expect_preorder_invariants(tree);
+      }
+    }
+  }
+}
+
+TEST(ScheduleTree, PreorderAnswersMatchParentWalksThroughMergesAndLongBodies) {
+  Graph g;
+  std::vector<Schedule> leaves;
+  for (int i = 0; i < 8; ++i) {
+    const ActorId a = g.add_actor(std::string(1, static_cast<char>('A' + i)));
+    leaves.push_back(Schedule::leaf(a, i + 1));
+  }
+  const auto at = [&](int i) { return leaves[static_cast<std::size_t>(i)]; };
+  const std::vector<Schedule> schedules = {
+      // Five-child root body, with a single-child loop wrapping a loop
+      // (merged factor 3 * 2) and one wrapping a leaf (residual 4 * 6).
+      Schedule::sequence(
+          {at(0), Schedule::loop(3, {Schedule::loop(2, {at(1), at(2)})}),
+           at(3), Schedule::loop(4, {at(5)}), Schedule::loop(5, {at(4)})}),
+      // Single-child chains at the root and below a >2-child body.
+      Schedule::loop(
+          2, {Schedule::loop(
+                 3, {Schedule::loop(
+                        7, {at(0), at(1),
+                            Schedule::loop(1, {Schedule::loop(
+                                                  2, {at(2), at(3), at(4)})}),
+                            at(5), at(6), at(7)})})}),
+      // Nested long bodies on both sides.
+      Schedule::loop(
+          3, {Schedule::loop(2, {at(0), at(1), at(2), at(3)}),
+              Schedule::loop(5, {at(4), Schedule::loop(2, {at(5), at(6)}),
+                                 at(7)})}),
+  };
+  for (const Schedule& s : schedules) {
+    const ScheduleTree tree(g, s);
+    expect_preorder_invariants(tree);
+  }
+  // The merged factors land where the old copy-and-merge put them.
+  const ScheduleTree first(g, schedules[0]);
+  EXPECT_EQ(first.node(first.least_common_parent(first.leaf_of(1),
+                                                 first.leaf_of(2)))
+                .loop,
+            6);
+  EXPECT_EQ(first.node(first.leaf_of(5)).leaf_count, 24);
+  const ScheduleTree second(g, schedules[1]);
+  EXPECT_EQ(second.node(second.root()).loop, 42);
+  EXPECT_EQ(second.iterations_of(second.leaf_of(3)), 84);
 }
 
 }  // namespace
