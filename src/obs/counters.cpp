@@ -72,32 +72,6 @@ const Table& counters() noexcept { return counter_table(); }
 
 const Table& gauges() noexcept { return gauge_table(); }
 
-Table counters_snapshot() {
-  const std::lock_guard<std::mutex> lock(table_mutex());
-  return counter_table();
-}
-
-std::map<std::string, std::int64_t> CounterWindow::snapshot(
-    std::string_view prefix) {
-  const Table current = counters_snapshot();
-  std::map<std::string, std::int64_t> deltas;
-  for (const auto& [name, value] : current) {
-    if (!prefix.empty() &&
-        std::string_view(name).substr(0, prefix.size()) != prefix) {
-      continue;
-    }
-    const auto it = baseline_.find(name);
-    const std::int64_t delta =
-        value - (it == baseline_.end() ? 0 : it->second);
-    if (delta != 0) deltas.emplace(name, delta);
-  }
-  // Re-arm against the full table (prefix-filtered reads must not leak
-  // other prefixes' history into a later unfiltered snapshot).
-  baseline_.clear();
-  baseline_.insert(current.begin(), current.end());
-  return deltas;
-}
-
 namespace detail {
 
 void reset_counters() {

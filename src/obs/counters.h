@@ -43,30 +43,6 @@ counters() noexcept;
 [[nodiscard]] const std::map<std::string, std::int64_t, std::less<>>&
 gauges() noexcept;
 
-/// Locked copy of the counter table, safe to take while recording
-/// threads are live (unlike counters(), which hands out the live table
-/// for after-join bulk reads).
-[[nodiscard]] std::map<std::string, std::int64_t, std::less<>>
-counters_snapshot();
-
-/// Reset-on-snapshot delta view over the counter table: each snapshot()
-/// returns how much every counter moved since the previous snapshot()
-/// and re-arms the baseline. This is what a monitoring-interval consumer
-/// (the sdfmemd control loop, `stats_json()`'s window object) needs —
-/// per-interval rates, not lifetime totals. Counters that did not move
-/// are omitted. Not thread-safe; give each consumer its own window.
-class CounterWindow {
- public:
-  /// Deltas since the last snapshot(), restricted to names starting with
-  /// `prefix` ("" = everything). The first call baselines against zero,
-  /// i.e. returns the current totals.
-  [[nodiscard]] std::map<std::string, std::int64_t> snapshot(
-      std::string_view prefix = {});
-
- private:
-  std::map<std::string, std::int64_t> baseline_;
-};
-
 namespace detail {
 /// Called by obs::reset(); not part of the public API.
 void reset_counters();

@@ -461,8 +461,4 @@ std::optional<Diagnostic> write_file_checked(const std::string& path,
   return std::nullopt;
 }
 
-bool write_file(const std::string& path, const Json& doc) {
-  return !write_file_checked(path, doc).has_value();
-}
-
 }  // namespace sdf::obs

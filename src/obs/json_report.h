@@ -124,9 +124,4 @@ class Json {
 [[nodiscard]] std::optional<Diagnostic> write_file_checked(
     const std::string& path, const Json& doc);
 
-/// write_file_checked() collapsed to a bool for callers that only need
-/// success/failure. A partial write is a failure, not a truncated file
-/// that parses as complete.
-bool write_file(const std::string& path, const Json& doc);
-
 }  // namespace sdf::obs

@@ -127,17 +127,40 @@ std::string CompileResult::degradation_path() const {
   return path;
 }
 
-CompileResult compile_with_order(const Graph& g,
-                                 const std::vector<ActorId>& order,
-                                 const CompileOptions& options) {
+namespace {
+
+/// The whole Fig. 21 pipeline under the one `pipeline.compile` span.
+/// `base_q` is the unscaled repetitions vector, computed once by the
+/// caller. With `order` null the lexical order comes from options.order
+/// (the `pipeline.stage.order` stage, degrading to Kahn order on a budget
+/// trip); otherwise the caller's order is used as given.
+CompileResult run_pipeline(const Graph& g, const Repetitions& base_q,
+                           const std::vector<ActorId>* order,
+                           const CompileOptions& options) {
   if (options.blocking_factor < 1) {
     throw BadArgumentError("compile: blocking_factor must be >= 1");
   }
   const obs::Span span("pipeline.compile");
   CompileResult result;
-  result.q = repetitions_vector(g);
+  if (order != nullptr) {
+    result.lexorder = *order;
+  } else {
+    const obs::Span order_span("pipeline.stage.order");
+    try {
+      result.lexorder = choose_order(g, base_q, options.order);
+    } catch (const ResourceExhaustedError&) {
+      // An ordering heuristic (e.g. rpmc* evaluating sdppo estimates)
+      // tripped a budget. The deterministic Kahn order costs O(V + E)
+      // and never consults the governor, so degrade to it.
+      if (options.order == OrderHeuristic::kTopological) throw;
+      obs::count("pipeline.compile.order_degraded");
+      result.lexorder =
+          choose_order(g, base_q, OrderHeuristic::kTopological);
+      result.order_degraded = true;
+    }
+  }
+  result.q = base_q;
   for (auto& reps : result.q) reps *= options.blocking_factor;
-  result.lexorder = order;
 
   {
     const obs::Span dp_span("pipeline.stage.loop_dp");
@@ -150,7 +173,7 @@ CompileResult compile_with_order(const Graph& g,
     const SplitCosts* shared_costs = options.split_costs;
     if (shared_costs != nullptr &&
         (options.blocking_factor != 1 ||
-         shared_costs->size() != order.size())) {
+         shared_costs->size() != result.lexorder.size())) {
       shared_costs = nullptr;
     }
     // The graceful-degradation ladder: when a governor budget (or an
@@ -161,8 +184,8 @@ CompileResult compile_with_order(const Graph& g,
     result.effective_optimizer = rung;
     for (;;) {
       try {
-        run_optimizer(g, result.q, order, rung, dp_arena, shared_costs,
-                      result);
+        run_optimizer(g, result.q, result.lexorder, rung, dp_arena,
+                      shared_costs, result);
         result.effective_optimizer = rung;
         break;
       } catch (const ResourceExhaustedError&) {
@@ -222,27 +245,16 @@ CompileResult compile_with_order(const Graph& g,
   return result;
 }
 
+}  // namespace
+
+CompileResult compile_with_order(const Graph& g,
+                                 const std::vector<ActorId>& order,
+                                 const CompileOptions& options) {
+  return run_pipeline(g, repetitions_vector(g), &order, options);
+}
+
 CompileResult compile(const Graph& g, const CompileOptions& options) {
-  const Repetitions q = repetitions_vector(g);
-  std::vector<ActorId> order;
-  bool order_degraded = false;
-  {
-    const obs::Span order_span("pipeline.stage.order");
-    try {
-      order = choose_order(g, q, options.order);
-    } catch (const ResourceExhaustedError&) {
-      // An ordering heuristic (e.g. rpmc* evaluating sdppo estimates)
-      // tripped a budget. The deterministic Kahn order costs O(V + E)
-      // and never consults the governor, so degrade to it.
-      if (options.order == OrderHeuristic::kTopological) throw;
-      obs::count("pipeline.compile.order_degraded");
-      order = choose_order(g, q, OrderHeuristic::kTopological);
-      order_degraded = true;
-    }
-  }
-  CompileResult result = compile_with_order(g, order, options);
-  result.order_degraded = order_degraded;
-  return result;
+  return run_pipeline(g, repetitions_vector(g), nullptr, options);
 }
 
 Result<CompileResult> compile_checked(const Graph& g,
@@ -289,7 +301,7 @@ Table1Row table1_row(const Graph& g, int jobs) {
     CompileOptions opts;
     opts.optimizer = LoopOptimizer::kSdppo;
     opts.allocation_order = FirstFitOrder::kByDuration;
-    CompileResult shared = compile_with_order(g, side.order, opts);
+    CompileResult shared = run_pipeline(g, q, &side.order, opts);
     *side.sdppo_cell = shared.dp_estimate;
     *side.mco_cell = shared.mcw_optimistic;
     *side.mcp_cell = shared.mcw_pessimistic;

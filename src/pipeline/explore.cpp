@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "alloc/first_fit.h"
@@ -34,21 +33,12 @@ constexpr std::size_t kNumOrders = std::size(kOrders);
 constexpr std::size_t kNumOptimizers = std::size(kOptimizers);
 
 // Fault-context salts: every logical unit of the sweep (warm-order i,
-// warm-base i, point task i, retry attempt, watchdog requeue) gets a
-// context key that depends only on its enumeration index, never on which
-// worker runs it — injected faults fire at the same unit for any `jobs`,
-// keeping the sweep byte-identical. Retry attempts get their own context
-// (kRetrySalt + (i << 5) + attempt) so each attempt re-draws the fault
-// decision: `explore_point:n` with n > 1 then behaves like a transient
-// fault, n == 1 like a persistent one.
+// warm-base i, point task i) gets a context key that depends only on its
+// enumeration index, never on which worker runs it — injected faults fire
+// at the same unit for any `jobs`, keeping the sweep byte-identical.
 constexpr std::uint64_t kWarmOrderSalt = 0x1000000;
 constexpr std::uint64_t kWarmBaseSalt = 0x2000000;
 constexpr std::uint64_t kPointSalt = 0x3000000;
-constexpr std::uint64_t kRetrySalt = 0x4000000;
-constexpr std::uint64_t kWatchdogSalt = 0x5000000;
-
-/// Retry attempts above this would collide in the kRetrySalt keying.
-constexpr int kMaxRetries = 30;
 
 /// Shared-memory size of a schedule: lifetimes + best-of-two first-fit
 /// orders, optionally after CBP merging.
@@ -146,202 +136,73 @@ ExploreResult explore_designs(const Graph& g, const ExploreOptions& options) {
     }
   }
 
-  // Per-task slot, pre-sized so workers never touch shared state. A task
-  // is either restored from a prior run's journal (outcome used verbatim,
-  // schedules re-parsed from their printed form) or freshly evaluated
-  // (live Schedule objects kept aside in `schedules`).
-  struct TaskSlot {
-    TaskOutcome outcome;
-    std::vector<Schedule> schedules;  ///< aligned with outcome.points (fresh)
-    bool restored = false;
-    bool completed = false;  ///< false only when cancellation skipped it
-  };
-  std::vector<TaskSlot> slots(tasks.size());
-  if (options.restore != nullptr) {
-    for (const auto& [index, outcome] : *options.restore) {
-      if (index >= slots.size()) continue;  // stale journal; batch validates
-      slots[index].outcome = outcome;
-      slots[index].restored = true;
-      slots[index].completed = true;
-    }
-  }
-  const bool any_fresh = std::any_of(slots.begin(), slots.end(),
-                                     [](const TaskSlot& s) {
-                                       return !s.restored;
-                                     });
-
   ExploreCache cache(g, options.share_dp_bases);
   const int jobs = util::ThreadPool::resolve_jobs(options.jobs);
   std::optional<util::ThreadPool> pool;
-  if (jobs > 1 && any_fresh) pool.emplace(jobs);
+  if (jobs > 1) pool.emplace(jobs);
   util::ThreadPool* workers = pool ? &*pool : nullptr;
 
   // Phase 1+2: warm the memo cache breadth-first — all orderings, then all
   // loop-DP bases — so the point fan-out below never duplicates a compile
   // (and the cache miss count is exactly #orderings + #bases, independent
-  // of thread count). A fully restored sweep skips the warm-up: nothing
-  // below would compile anyway.
-  if (any_fresh) {
-    {
-      const obs::Span warm("pipeline.explore.warm_orders");
-      util::parallel_for(workers, kNumOrders, [&](std::size_t i) {
-        const fault::Context fault_ctx(kWarmOrderSalt + i);
-        (void)cache.lexorder(kOrders[i]);
-      });
-    }
-    {
-      const obs::Span warm("pipeline.explore.warm_bases");
-      util::parallel_for(workers, kNumOrders * kNumOptimizers,
-                         [&](std::size_t i) {
-                           const fault::Context fault_ctx(kWarmBaseSalt + i);
-                           (void)cache.base(kOrders[i / kNumOptimizers],
-                                            kOptimizers[i % kNumOptimizers]);
-                         });
-    }
+  // of thread count).
+  {
+    const obs::Span warm("pipeline.explore.warm_orders");
+    util::parallel_for(workers, kNumOrders, [&](std::size_t i) {
+      const fault::Context fault_ctx(kWarmOrderSalt + i);
+      (void)cache.lexorder(kOrders[i]);
+    });
+  }
+  {
+    const obs::Span warm("pipeline.explore.warm_bases");
+    util::parallel_for(workers, kNumOrders * kNumOptimizers,
+                       [&](std::size_t i) {
+                         const fault::Context fault_ctx(kWarmBaseSalt + i);
+                         (void)cache.base(kOrders[i / kNumOptimizers],
+                                          kOptimizers[i % kNumOptimizers]);
+                       });
   }
 
-  // One evaluation attempt under its own fault context. Returns nullopt on
-  // a budget trip or injected fault (both surface as ResourceExhausted).
-  const auto run_attempt =
-      [&](std::uint64_t context_key, std::size_t i, const TaskSpec& spec)
-      -> std::optional<std::vector<Evaluated>> {
-    const fault::Context fault_ctx(context_key);
-    try {
-      if (fault::should_fail("explore_point")) {
-        throw ResourceExhaustedError(
-            "explore: injected fault at point task " + std::to_string(i));
-      }
-      return evaluate_task(g, q, model, options.try_merging, cache, spec);
-    } catch (const ResourceExhaustedError&) {
-      return std::nullopt;
-    }
-  };
-  const auto cancelled_now = [&options]() {
-    return options.cancel != nullptr &&
-           options.cancel->load(std::memory_order_relaxed);
-  };
-
   // Phase 3: fan the independent design points out across the pool. Each
-  // task writes its own pre-sized slot; no cross-task communication, so
-  // the surviving points and every tally are identical for any `jobs`.
-  // Attempt 0 runs in the same fault context as the pre-durability sweep
-  // (kPointSalt + i), keeping default-option output byte-identical; each
-  // retry and the watchdog requeue draw fresh contexts.
-  if (any_fresh) {
+  // task writes its own pre-sized slot (nullopt: dropped on a budget trip
+  // or injected fault, both ResourceExhausted); no cross-task
+  // communication, so the surviving points are identical for any `jobs`.
+  std::vector<std::optional<std::vector<Evaluated>>> slots(tasks.size());
+  {
     const obs::Span fan("pipeline.explore.points");
-    const int max_retries =
-        std::clamp(options.max_point_retries, 0, kMaxRetries);
     util::parallel_for(workers, tasks.size(), [&](std::size_t i) {
-      TaskSlot& slot = slots[i];
-      if (slot.restored) return;
-      if (cancelled_now()) return;  // stop admitting; slot stays incomplete
       const obs::Span point_span("pipeline.explore.point");
-      TaskOutcome& outcome = slot.outcome;
-
-      std::optional<std::vector<Evaluated>> got =
-          run_attempt(kPointSalt + i, i, tasks[i]);
-      for (int attempt = 1; !got && attempt <= max_retries; ++attempt) {
-        if (cancelled_now()) break;  // drain without spinning the backoff
-        if (options.retry_backoff_ms > 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(
-              static_cast<std::int64_t>(options.retry_backoff_ms)
-              << (attempt - 1)));
+      const fault::Context fault_ctx(kPointSalt + i);
+      try {
+        if (fault::should_fail("explore_point")) {
+          throw ResourceExhaustedError(
+              "explore: injected fault at point task " + std::to_string(i));
         }
-        ++outcome.retries;
-        got = run_attempt(kRetrySalt + (static_cast<std::uint64_t>(i) << 5) +
-                              static_cast<std::uint64_t>(attempt),
-                          i, tasks[i]);
+        slots[i] =
+            evaluate_task(g, q, model, options.try_merging, cache, tasks[i]);
+      } catch (const ResourceExhaustedError&) {
+        // Dropped: the slot stays nullopt.
       }
-      if (!got && options.watchdog_requeue &&
-          tasks[i].optimizer != LoopOptimizer::kFlat) {
-        // Ladder floor: kFlat never consults the governor, so the requeued
-        // attempt cannot trip the same deadline again.
-        const TaskSpec degraded{tasks[i].order, LoopOptimizer::kFlat,
-                                tasks[i].budget};
-        got = run_attempt(kWatchdogSalt + i, i, degraded);
-        if (got) outcome.requeued = true;
-      }
-      if (!got) {
-        outcome.dropped = true;
-      } else {
-        outcome.points.reserve(got->size());
-        slot.schedules.reserve(got->size());
-        for (Evaluated& e : *got) {
-          if (outcome.requeued) {
-            e.point.degraded_from =
-                std::string(optimizer_name(tasks[i].optimizer)) +
-                ">watchdog";
-          }
-          TaskOutcome::Point p;
-          p.strategy = e.point.strategy;
-          p.code_size = e.point.code_size;
-          p.shared_memory = e.point.shared_memory;
-          p.nonshared_memory = e.point.nonshared_memory;
-          p.degraded_from = e.point.degraded_from;
-          if (options.on_task_done) p.schedule_text = e.schedule.to_string(g);
-          outcome.points.push_back(std::move(p));
-          slot.schedules.push_back(std::move(e.schedule));
-        }
-      }
-      slot.completed = true;
-      if (options.on_task_done) options.on_task_done(i, outcome);
     });
   }
   pool.reset();  // join workers before the single-threaded reduction
 
   // Deterministic reduction: concatenate per-task results in enumeration
-  // order. Schedules are kept aside so `points` can stay schedule-free;
-  // restored tasks re-hydrate theirs from the recorded printed form.
+  // order. Schedules are kept aside so `points` can stay schedule-free.
   ExploreResult result;
-  result.tasks_total = static_cast<std::int64_t>(tasks.size());
   std::vector<Schedule> schedules;
-  for (TaskSlot& slot : slots) {
-    if (!slot.completed) {
-      result.cancelled = true;
+  for (std::optional<std::vector<Evaluated>>& slot : slots) {
+    if (!slot) {
+      ++result.points_dropped;
       continue;
     }
-    const TaskOutcome& o = slot.outcome;
-    if (slot.restored) ++result.tasks_restored;
-    result.retries += o.retries;
-    if ((o.dropped || o.requeued) && o.retries > 0) {
-      ++result.retries_exhausted;
-    }
-    if (o.requeued) ++result.watchdog_requeues;
-    if (o.dropped) ++result.points_dropped;
-    for (std::size_t k = 0; k < o.points.size(); ++k) {
-      const TaskOutcome::Point& p = o.points[k];
-      DesignPoint point;
-      point.strategy = p.strategy;
-      point.code_size = p.code_size;
-      point.shared_memory = p.shared_memory;
-      point.nonshared_memory = p.nonshared_memory;
-      point.degraded_from = p.degraded_from;
-      result.points.push_back(std::move(point));
-      if (slot.restored) {
-        schedules.push_back(p.schedule_text.empty()
-                                ? Schedule{}
-                                : parse_schedule(g, p.schedule_text));
-      } else {
-        schedules.push_back(std::move(slot.schedules[k]));
-      }
+    for (Evaluated& e : *slot) {
+      result.points.push_back(std::move(e.point));
+      schedules.push_back(std::move(e.schedule));
     }
   }
   if (result.points_dropped > 0) {
     obs::count("pipeline.explore.points_dropped", result.points_dropped);
-  }
-  if (result.retries > 0) {
-    obs::count("pipeline.explore.retries", result.retries);
-  }
-  if (result.retries_exhausted > 0) {
-    obs::count("pipeline.explore.retries_exhausted",
-               result.retries_exhausted);
-  }
-  if (result.watchdog_requeues > 0) {
-    obs::count("pipeline.explore.watchdog_requeues",
-               result.watchdog_requeues);
-  }
-  if (result.tasks_restored > 0) {
-    obs::count("pipeline.explore.tasks_restored", result.tasks_restored);
   }
 
   // Pareto: minimize both axes; dedupe identical (code, memory) pairs.

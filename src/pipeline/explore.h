@@ -13,10 +13,7 @@
 // tests/test_explore_parallel.cpp.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -24,36 +21,6 @@
 #include "pipeline/compile.h"
 
 namespace sdf {
-
-/// Serializable outcome of one fan-out task — the checkpoint granularity
-/// of the batch runner (pipeline/batch.h, docs/DURABILITY.md). A task is
-/// one (ordering, optimizer, appearance-budget) cell of the sweep and
-/// yields 0..2 design points. Outcomes are produced deterministically for
-/// a fixed (graph, options, fault seed), so a resumed sweep that restores
-/// recorded outcomes is byte-identical to an uninterrupted one.
-struct TaskOutcome {
-  /// The task was abandoned (budget/fault, retries and watchdog spent).
-  bool dropped = false;
-  /// Transient-fault retry attempts this task consumed before succeeding
-  /// (or before the watchdog/drop path took over).
-  std::int32_t retries = 0;
-  /// The watchdog requeued this task at the degraded (flat) tier after
-  /// its governor ladder was exhausted.
-  bool requeued = false;
-
-  struct Point {
-    std::string strategy;
-    std::int64_t code_size = 0;
-    std::int64_t shared_memory = 0;
-    std::int64_t nonshared_memory = 0;
-    std::string degraded_from;
-    /// Schedule in the printed notation (Schedule::to_string);
-    /// parse_schedule() round-trips it. Populated only when the sweep has
-    /// an on_task_done observer (the serialization is not free).
-    std::string schedule_text;
-  };
-  std::vector<Point> points;
-};
 
 struct ExploreOptions {
   /// n-appearance budgets to try on top of each SAS (0 = SAS itself).
@@ -80,37 +47,6 @@ struct ExploreOptions {
   /// the governor's dp_mem budget) for time.
   bool share_dp_bases = true;
 
-  // --- Durability hooks (pipeline/batch.h, docs/DURABILITY.md) ---------
-
-  /// Retries per task for transiently faulted evaluations (a budget trip
-  /// or injected fault). Each attempt runs in its own fault context, so a
-  /// `explore_point:n` spec with n > 1 models a transient fault (later
-  /// attempts usually pass) while n == 1 models a persistent one. 0 keeps
-  /// the pre-durability behavior: first failure drops the task.
-  int max_point_retries = 0;
-  /// Base backoff before the first retry; doubles per attempt. 0 retries
-  /// immediately (tests, and workloads where the "fault" is a budget).
-  int retry_backoff_ms = 0;
-  /// After retries are exhausted, requeue the task once at the degraded
-  /// tier (LoopOptimizer::kFlat — the ladder's floor, which never
-  /// consults the governor) instead of dropping it. The resulting points
-  /// carry "<optimizer>>watchdog" in degraded_from.
-  bool watchdog_requeue = false;
-  /// When non-null and it becomes true, the sweep stops admitting new
-  /// tasks: in-flight tasks drain normally (and reach on_task_done), the
-  /// rest are left unevaluated and ExploreResult::cancelled is set.
-  const std::atomic<bool>* cancel = nullptr;
-  /// Checkpoint observer, invoked once per freshly evaluated task (not
-  /// for restored ones) with its enumeration index. Called from worker
-  /// threads — must be thread-safe. Schedule text is populated in the
-  /// outcome when this is set.
-  std::function<void(std::size_t task_index, const TaskOutcome&)>
-      on_task_done;
-  /// Tasks to restore instead of evaluating, keyed by enumeration index
-  /// (recovered from a journal). Restored outcomes bypass evaluation and
-  /// fault contexts entirely and feed the reduction verbatim, so the
-  /// merged output is byte-identical to an uninterrupted run.
-  const std::map<std::size_t, TaskOutcome>* restore = nullptr;
 };
 
 struct DesignPoint {
@@ -136,21 +72,6 @@ struct ExploreResult {
   /// mid-evaluation. Deterministic for a fixed governor budget and fault
   /// seed, whatever `jobs` is.
   std::int64_t points_dropped = 0;
-  /// Transient-fault retry attempts consumed across all tasks (restored
-  /// tasks contribute the count recorded at evaluation time).
-  std::int64_t retries = 0;
-  /// Tasks whose retry budget ran out (they then went to the watchdog
-  /// when enabled, or straight to points_dropped).
-  std::int64_t retries_exhausted = 0;
-  /// Tasks the watchdog re-ran at the degraded (flat) tier.
-  std::int64_t watchdog_requeues = 0;
-  /// Tasks restored from ExploreOptions::restore instead of evaluated.
-  std::int64_t tasks_restored = 0;
-  /// Total tasks in the sweep's enumeration.
-  std::int64_t tasks_total = 0;
-  /// The sweep stopped early because ExploreOptions::cancel turned true;
-  /// `points`/`frontier` cover only the tasks that completed.
-  bool cancelled = false;
 };
 
 /// Evaluates every strategy combination on a consistent acyclic graph.

@@ -63,8 +63,7 @@ ResultCache::ResultCache(const std::string& dir) : dir_(dir) {
     lock_fd_ = -1;
     if (busy) {
       throw IoError("cache: " + dir + " is locked by another process "
-                    "(each sdfmemd worker needs its own --cache dir; "
-                    "docs/SERVICE.md \"Fleet mode\")");
+                    "(each worker needs its own cache dir)");
     }
     throw IoError("cache: cannot lock " + lock_path + ": " + detail);
   }

@@ -1,5 +1,5 @@
-// Persistent content-addressed result cache for the compile service
-// (docs/SERVICE.md, "Result cache").
+// Persistent content-addressed result cache for compile responses
+// (docs/ARCHITECTURE.md, "Service building blocks").
 //
 // Layout under the cache directory:
 //
@@ -16,7 +16,7 @@
 // appends the index record (single write + fsync). A SIGKILL between the
 // two leaves an orphan object that the index never mentions — wasted
 // bytes, never a wrong answer. A torn index tail is truncated on open by
-// the journal recovery, exactly like the batch journal.
+// the journal recovery (util/journal.h).
 //
 // Integrity: every lookup re-reads the object file and verifies its size
 // and CRC32 against the index record. A flipped byte (or a truncated
@@ -27,8 +27,8 @@
 //
 // Single-writer contract: the index journal assumes exactly one process
 // appends to it. Opening the cache takes an exclusive flock on
-// `<dir>/lock`; a second process (e.g. two fleet workers misconfigured
-// to share one --cache dir) gets a typed IoError immediately instead of
+// `<dir>/lock`; a second process (e.g. two workers misconfigured to
+// share one cache dir) gets a typed IoError immediately instead of
 // silently interleaving index records. The lock is advisory, held for
 // the cache's lifetime, and released automatically on any process exit —
 // including SIGKILL — so a crashed daemon never wedges the directory.
@@ -85,7 +85,7 @@ class ResultCache {
   /// untouched (first writer wins, so hot responses stay byte-stable).
   void insert(std::uint64_t key, std::string_view payload);
 
-  /// One scrubber pass (docs/RELIABILITY.md, "Cache scrubber"):
+  /// One scrubber pass:
   /// CRC-walks every live index entry, moving each corrupt or unreadable
   /// object into `<dir>/quarantine/` and dropping its index entry, so
   /// bit-rot is repaired before a client pays the miss. Returns the keys

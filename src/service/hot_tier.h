@@ -1,5 +1,5 @@
-// In-memory LRU hot tier over the on-disk result cache (docs/SERVICE.md,
-// "Cache tiers").
+// In-memory LRU hot tier over the on-disk result cache
+// (docs/ARCHITECTURE.md, "Service building blocks").
 //
 // The cache-tier half of the service layer split: the hot tier serves
 // repeat hits without touching the filesystem, the disk tier

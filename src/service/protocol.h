@@ -1,4 +1,5 @@
-// sdfmemd wire protocol (docs/SERVICE.md): length-prefixed, CRC32-framed
+// Compile-service wire protocol (docs/ARCHITECTURE.md, "Service building
+// blocks"): length-prefixed, CRC32-framed
 // messages over a stream socket (Unix domain or loopback TCP).
 //
 // Every message is one frame:
@@ -23,7 +24,7 @@
 //                         to older clients, accepted by older servers);
 //                         setting a tenant upgrades the payload to v2.
 //                         Servers accept both; a v1 request lands in the
-//                         `public` tenant (docs/TENANCY.md).
+//                         `public` tenant (service/qos.h).
 //   * kCompileResponse  — the deterministic compile-result document
 //                         ("sdfmem.telemetry.v1"); byte-identical whether
 //                         served cold or from the result cache
@@ -31,10 +32,10 @@
 //                         same shape as `sdfmem_cli --json`
 //   * kPing / kPong     — payload echoed verbatim (health checks)
 //   * kStatsRequest / kStatsResponse — live server counters as JSON
-//   * kPeerLookup* / kPeerInsert* — fleet-internal cache peering
-//                         (docs/SERVICE.md "Fleet mode"): the router asks
-//                         a worker for its cached bytes by key, and warms
-//                         a shard owner with bytes another worker held.
+//   * kPeerLookup* / kPeerInsert* — fleet-internal cache peering: a
+//                         router asks a worker for its cached bytes by
+//                         key, and warms a shard owner with bytes another
+//                         worker held.
 //                         Version negotiation is by behaviour, like the
 //                         v2 tenancy schema: a pre-fleet worker answers
 //                         these kinds with a bad-frame error and the
@@ -110,7 +111,7 @@ struct CompileRequest {
   CompileOptions options;
   std::int64_t deadline_ms = 0;   ///< 0 = server default / unlimited
   std::int64_t dp_mem_bytes = 0;  ///< 0 = server default / unlimited
-  /// Tenant id for QoS accounting (docs/TENANCY.md); empty means the
+  /// Tenant id for QoS accounting (service/qos.h); empty means the
   /// `public` tenant and keeps the encoded payload at schema v1.
   /// Deliberately NOT part of option_fingerprint(): the result cache is
   /// content-addressed and shared, so every tenant sees byte-identical
@@ -143,7 +144,7 @@ struct CompileRequest {
 [[nodiscard]] std::optional<std::uint64_t> parse_key_hex(
     std::string_view hex) noexcept;
 
-/// Fleet cache-peering payloads ("sdfmem.peer.v1", docs/SERVICE.md).
+/// Fleet cache-peering payloads ("sdfmem.peer.v1").
 /// A kPeerLookupRequest carries {"schema", "key"}; the response payload
 /// is the raw cached object bytes on a hit and empty on a miss (the
 /// cached document is never empty, so emptiness is unambiguous).

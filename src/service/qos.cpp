@@ -371,8 +371,8 @@ AdmissionController::Ticket AdmissionController::acquire(
   }
   const std::int64_t after = backlog + cost_ms;
   // Per-tenant pressure drives the same degradation ladder the global
-  // queue used to, at trip points the adaptive controller can move
-  // (docs/CONTROL.md). The defaults 500/750 are exactly the historical
+  // queue used to, at trip points set_trip_points() can move. The
+  // defaults 500/750 are exactly the historical
   // `after*2 >= share` / `after*4 >= share*3` integer comparisons. One
   // tenant's pressure never taints another's tier.
   if (ticket.share_ms > 0) {

@@ -1,6 +1,7 @@
-// Multi-tenant QoS for sdfmemd (docs/TENANCY.md): the tenant registry,
-// the token bucket, the weighted-fair queue, and the threaded admission
-// controller that the server composes them into.
+// Multi-tenant QoS building blocks (docs/ARCHITECTURE.md, "Service
+// building blocks"): the tenant registry, the token bucket, the
+// weighted-fair queue, and the threaded admission controller that
+// composes them for a compile server.
 //
 // Design constraints, in order:
 //
@@ -22,7 +23,7 @@
 //     request lands near the global virtual time and is served within a
 //     bounded number of pops (the classic SFQ fairness bound).
 //
-// The server maps the controller's verdicts onto the existing surfaces:
+// A server maps the controller's verdicts onto the existing surfaces:
 // per-tenant backlog shares drive the degradation ladder and the typed
 // kOverloaded rejection; an unregistered tenant is a typed
 // kUnknownTenant (exit code 25) before any work is queued.
@@ -45,7 +46,7 @@ namespace sdf::svc::qos {
 /// Always registered; configs may re-tune its weight and limits.
 inline constexpr std::string_view kPublicTenant = "public";
 
-/// Per-tenant QoS settings (docs/TENANCY.md). Zero means "unlimited" on
+/// Per-tenant QoS settings. Zero means "unlimited" on
 /// every axis, so a default-constructed tenant is unthrottled with an
 /// equal share.
 struct TenantSettings {
@@ -104,9 +105,9 @@ class TokenBucket {
 };
 
 /// The set of tenants the daemon serves, parsed from the
-/// `sdfmem.tenants.v1` JSON config (docs/TENANCY.md). `public` is
-/// always present. Lookup of an unknown name returns nullptr — the
-/// server turns that into a typed kUnknownTenant rejection.
+/// `sdfmem.tenants.v1` JSON config. `public` is always present. Lookup
+/// of an unknown name returns nullptr — a server turns that into a
+/// typed kUnknownTenant rejection.
 class TenantRegistry {
  public:
   /// Just `public` with default settings.
@@ -216,10 +217,10 @@ class AdmissionController {
     std::int64_t capacity_ms = 0;
   };
 
-  /// How close a tenant is to its share; the server maps tiers onto the
+  /// How close a tenant is to its share; a server maps tiers onto the
   /// compile degradation ladder. The trip points default to the
-  /// historical 1/2 and 3/4 of the share and are movable at runtime by
-  /// the adaptive controller (set_trip_points, docs/CONTROL.md).
+  /// historical 1/2 and 3/4 of the share and are movable at runtime
+  /// (set_trip_points).
   enum class PressureTier {
     kNormal,    ///< below the capped trip point of the tenant share
     kCapped,    ///< >= capped point: cap the loop optimizer at kDppo
@@ -251,12 +252,11 @@ class AdmissionController {
   void drain() noexcept;
 
   /// Moves the degradation-ladder trip points, as exact milli-fractions
-  /// of a tenant's share (docs/CONTROL.md). The historical constants are
+  /// of a tenant's share. The historical constants are
   /// capped=500 (1/2) and degraded=750 (3/4); integer comparison keeps
   /// 500/750 bit-identical to the old `after*2 >= share` / `after*4 >=
   /// share*3` tests. Values are clamped into [100, 1000] and reordered
-  /// so capped <= degraded — the controller's own clamps are tighter;
-  /// these are the hard floor under ANY caller.
+  /// so capped <= degraded — the hard floor under ANY caller.
   void set_trip_points(std::int64_t capped_x1000,
                        std::int64_t degraded_x1000);
   /// Per-tenant share multiplier (x1000), clamped into [1000, 4000];

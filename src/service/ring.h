@@ -1,4 +1,5 @@
-// Consistent-hash ring over worker ids (docs/SERVICE.md, "Fleet mode").
+// Consistent-hash ring over worker ids (docs/ARCHITECTURE.md, "Service
+// building blocks").
 //
 // The routing layer of the service split (transport / routing / cache
 // tiers). Each worker id is hashed onto the ring at `vnodes` points
@@ -13,7 +14,7 @@
 //
 // The ring is deterministic: the same ids in any insertion order produce
 // the same ownership (the ring is a sorted map keyed by hash). Not
-// thread-safe; the router treats it as immutable after construction and
+// thread-safe; a router treats it as immutable after construction and
 // handles liveness separately (a dead worker stays on the ring so its
 // keys come straight back to it on recovery).
 #pragma once

@@ -1,12 +1,11 @@
-// Transport layer of the compile service (docs/ARCHITECTURE.md, "Service
-// layers"): raw stream sockets plus SDFSVC1 frame I/O, shared by the
-// server (service/server.h), the blocking client (service/client.h) and
-// the fleet router (service/router.h).
+// Transport layer of the service building blocks (docs/ARCHITECTURE.md,
+// "Service building blocks"): raw stream sockets plus SDFSVC1 frame I/O
+// for any server, client or router built on service/protocol.h.
 //
 // The split keeps the layers separable:
 //
 //   transport  — this file: listen/connect/send_all + FrameReader
-//   routing    — service/ring.h + service/router.h (who owns a key)
+//   routing    — service/ring.h (who owns a key)
 //   cache      — service/hot_tier.h over service/cache.h (where bytes live)
 //
 // Nothing here interprets payloads; framing integrity (magic, kind,
@@ -25,8 +24,8 @@ void close_fd(int& fd) noexcept;
 
 /// Ignores SIGPIPE process-wide (idempotent). Every send here already
 /// passes MSG_NOSIGNAL, but library users and stdio can still write to a
-/// dead pipe; a daemon must never die for that. Called from server,
-/// router, and client setup.
+/// dead pipe; a daemon must never die for that. Call it once from
+/// server, router or client setup.
 void ignore_sigpipe() noexcept;
 
 /// Writes all of `data` (MSG_NOSIGNAL, EINTR-retried). False when the

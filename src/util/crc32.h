@@ -1,11 +1,12 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) for the durable
-// job journal (util/journal.h) and batch output digests.
+// journal (util/journal.h), wire frames (service/protocol.h) and result
+// cache objects (service/cache.h).
 //
 // Software table-driven implementation: the journal appends records of at
 // most a few kilobytes on a path dominated by fsync(), so a byte-at-a-time
 // table lookup is nowhere near the critical path. The value matches zlib's
-// crc32() and Python's zlib.crc32, which lets the CI crash-matrix scripts
-// re-verify journal records without linking this library.
+// crc32() and Python's zlib.crc32, so external scripts can re-verify
+// journal records without linking this library.
 #pragma once
 
 #include <cstdint>

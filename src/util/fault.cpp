@@ -1,5 +1,6 @@
 #include "util/fault.h"
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <map>
@@ -18,15 +19,13 @@ std::atomic<bool> g_enabled{false};
 
 namespace {
 
-const std::vector<std::string_view> kSites = {
-    "parse_oom",       "io_open",        "dp_mem",
-    "dp_deadline",     "explore_point",  "pool_spawn",
-    "batch_kill",      "svc_accept",     "svc_recv_torn",
-    "svc_send_short",  "svc_peer_timeout", "svc_cache_read",
-    "svc_cache_write", "svc_worker_stall",
+/// The closed injection-site registry; its size sizes Config::sites.
+constexpr std::array<std::string_view, 10> kSites = {
+    "parse_oom",      "io_open",        "dp_mem",
+    "dp_deadline",    "explore_point",  "pool_spawn",
+    "svc_recv_torn",  "svc_send_short", "svc_cache_read",
+    "svc_cache_write",
 };
-
-constexpr std::size_t kSiteCount = 14;  // keep in sync with kSites
 
 struct ArmedSite {
   std::int64_t window = 0;  ///< the n of "site:n"; fire check in [1, n]
@@ -36,7 +35,7 @@ struct ArmedSite {
 struct Config {
   std::uint64_t seed = 0;
   // Index-aligned with kSites; window == 0 means unarmed.
-  ArmedSite sites[kSiteCount];
+  std::array<ArmedSite, kSites.size()> sites;
   // Counters for checks outside any Context (serial code paths).
   std::mutex global_mu;
   std::map<std::string, std::int64_t, std::less<>> global_checks;
@@ -86,7 +85,7 @@ thread_local ContextFrame* t_context = nullptr;
 
 }  // namespace
 
-const std::vector<std::string_view>& known_sites() { return kSites; }
+std::span<const std::string_view> known_sites() { return kSites; }
 
 void configure(std::string_view spec, std::uint64_t seed) {
   clear();

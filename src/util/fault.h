@@ -25,8 +25,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <string_view>
-#include <vector>
 
 namespace sdf::fault {
 
@@ -37,23 +37,16 @@ namespace sdf::fault {
 ///   dp_deadline  — chain_dp/dppo/sdppo cooperative deadline trip
 ///   explore_point— one design-point evaluation in the explore sweep
 ///   pool_spawn   — ThreadPool worker-thread creation failure
-///   batch_kill   — raises SIGKILL after a durable journal append
-///                  (util/journal.h) — the crash-matrix hook
 ///
-/// Service-layer sites (docs/RELIABILITY.md, "Chaos testing"):
-///   svc_accept      — server/router accept loop: the accepted
-///                     connection is dropped before it is served
+/// Service building-block sites (src/service/):
 ///   svc_recv_torn   — FrameReader: the stream tears mid-frame
 ///                     (surfaces as ReadOutcome::kClosed)
 ///   svc_send_short  — send_all / send_all_or_throw: the write fails
 ///                     as if the peer vanished
-///   svc_peer_timeout— router peer round-trip (lookup/warm) times out
 ///   svc_cache_read  — cache/hot-tier object read fails verification
 ///                     (treated as a corrupt object: dropped, miss)
 ///   svc_cache_write — cache insert fails with an IoError (disk full)
-///   svc_worker_stall— server stalls a compile long enough to trip the
-///                     router's worker deadline
-[[nodiscard]] const std::vector<std::string_view>& known_sites();
+[[nodiscard]] std::span<const std::string_view> known_sites();
 
 /// Installs a fault spec ("site:n,site:n" — see file comment), replacing
 /// any previous one and resetting all counters. An empty spec disables

@@ -1,9 +1,10 @@
-// Strict flag-value parsing shared by the CLI front ends (sdfmem_cli and
-// the service subcommands). The historical std::atoi / lenient strtoll
-// paths silently accepted "abc" (as 0) and treated a non-positive count
-// as a real value; docs/ERRORS.md pins that a malformed flag value is a
-// *usage* error (exit 2), so the parsers here are strict: decimal digits
-// only, no sign, no suffix, and the result must be strictly positive.
+// Strict flag-value parsing for the sdfmem_cli front end, plus the
+// tenant-id check the service request codec and QoS registry share. The
+// historical std::atoi / lenient strtoll paths silently accepted "abc"
+// (as 0) and treated a non-positive count as a real value;
+// docs/ERRORS.md pins that a malformed flag value is a *usage* error
+// (exit 2), so the parsers here are strict: decimal digits only, no
+// sign, no suffix, and the result must be strictly positive.
 #pragma once
 
 #include <cstdint>
@@ -30,22 +31,10 @@ namespace sdf::util {
   return value;
 }
 
-/// Parses an on/off switch flag value ("on" -> true, "off" -> false).
-/// Anything else — including "true", "1", "ON" — is nullopt: switch
-/// flags are documented as exactly on|off, and a tolerant parser would
-/// let "of" silently enable a subsystem the operator meant to disable.
-[[nodiscard]] constexpr std::optional<bool> parse_on_off(
-    std::string_view text) noexcept {
-  if (text == "on") return true;
-  if (text == "off") return false;
-  return std::nullopt;
-}
-
-/// Validates a tenant id (docs/TENANCY.md): 1-64 chars drawn from
-/// [a-z0-9_-]. The charset is deliberately tight — tenant names become
-/// telemetry counter segments ("service.tenant.<name>.requests") and JSON
-/// object keys, so anything that would need escaping is rejected at the
-/// edge (CLI flag parse and server-side request validation alike).
+/// Validates a tenant id: 1-64 chars drawn from [a-z0-9_-]. The charset
+/// is deliberately tight — tenant names become telemetry counter
+/// segments and JSON object keys, so anything that would need escaping
+/// is rejected at the edge (request parse and tenant config alike).
 [[nodiscard]] constexpr bool valid_tenant_name(
     std::string_view name) noexcept {
   if (name.empty() || name.size() > 64) return false;

@@ -1,21 +1,21 @@
-// FNV-1a hashing, shared by three consumers that must agree on the
-// function (docs/SERVICE.md):
+// FNV-1a hashing, shared by consumers that must agree on the function:
 //
 //   * fault injection (util/fault.cpp) hashes site names into the
 //     deterministic firing draw;
-//   * the service result cache (service/cache.h) derives its
-//     content-addressed key from the canonical graph text chained with
-//     the option fingerprint;
-//   * request framing / load tooling hash payload identities for logs.
+//   * the explore memo cache (pipeline/explore_cache.cpp) keys shared
+//     DP split-cost slabs by a hash of the lexical ordering;
+//   * the service result cache key (service/protocol.cpp) chains the
+//     canonical graph text with the option fingerprint, and the
+//     consistent-hash ring (service/ring.cpp) places worker vnodes.
 //
 // FNV-1a is a non-cryptographic hash: cheap, endian-free, and stable
-// across platforms — exactly what a persistent cache key and a seeded
-// fault draw need. It is NOT collision-resistant against adversaries;
-// the cache pairs it with a CRC32 over the stored bytes (util/crc32.h)
-// so a collision or corruption can never serve wrong bytes silently.
+// across platforms — exactly what a seeded fault draw, a persistent
+// cache key and an in-process memo key need. It is NOT
+// collision-resistant against adversaries; the result cache pairs it
+// with a CRC32 over the stored bytes (util/crc32.h).
 //
 // Chaining: pass a previous hash as `seed` to extend it over more data,
-//   fnv1a64(opts, fnv1a64(graph))
+//   fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b)
 // which is order-sensitive (unlike XOR-combining two independent hashes).
 #pragma once
 
@@ -33,9 +33,6 @@ inline constexpr std::uint64_t kFnv64Prime = 1099511628211ULL;
 /// seeds, so fault.cpp seeds fnv1a64 with this instead of kFnv64Offset.
 inline constexpr std::uint64_t kLegacyFaultSeed = 1469598103934665603ULL;
 
-inline constexpr std::uint32_t kFnv32Offset = 2166136261u;
-inline constexpr std::uint32_t kFnv32Prime = 16777619u;
-
 /// 64-bit FNV-1a of `data`, continuing from `seed` (default: a fresh
 /// hash). fnv1a64("") == kFnv64Offset.
 [[nodiscard]] constexpr std::uint64_t fnv1a64(
@@ -44,17 +41,6 @@ inline constexpr std::uint32_t kFnv32Prime = 16777619u;
   for (const char ch : data) {
     h ^= static_cast<unsigned char>(ch);
     h *= kFnv64Prime;
-  }
-  return h;
-}
-
-/// 32-bit FNV-1a of `data`, continuing from `seed`.
-[[nodiscard]] constexpr std::uint32_t fnv1a32(
-    std::string_view data, std::uint32_t seed = kFnv32Offset) noexcept {
-  std::uint32_t h = seed;
-  for (const char ch : data) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= kFnv32Prime;
   }
   return h;
 }

@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <csignal>
 #include <cstring>
 
 #include "obs/counters.h"
@@ -214,11 +213,6 @@ void JournalWriter::append(std::string_view payload) {
   write_all(fd_, rec.data(), rec.size(), path_);
   if (::fsync(fd_) != 0) fail_io("cannot fsync", path_);
   obs::count("util.journal.appends");
-  // Crash-matrix hook: the record above is durable; dying here models a
-  // kill at the worst possible moment after a checkpoint.
-  if (fault::enabled() && fault::should_fail("batch_kill")) {
-    std::raise(SIGKILL);
-  }
 }
 
 void atomic_write_file(const std::string& path, std::string_view content) {

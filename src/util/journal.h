@@ -1,8 +1,8 @@
-// Crash-consistent append-only journal (docs/DURABILITY.md).
+// Crash-consistent append-only journal.
 //
-// The batch runner (pipeline/batch.h) records its progress as a sequence
-// of opaque payloads (JSON, by convention) that must survive a SIGKILL at
-// any instruction. The guarantees, and how they are obtained:
+// The result cache's index (service/cache.h) is a sequence of opaque
+// payloads (JSON, by convention) that must survive a SIGKILL at any
+// instruction. The guarantees, and how they are obtained:
 //
 //   * A journal either exists with a valid header record or not at all:
 //     create() writes magic + header to `path.tmp`, fsyncs, and publishes
@@ -22,10 +22,7 @@
 // prefix can never cause a multi-gigabyte "record" to be believed.
 //
 // Telemetry: `util.journal.appends`, `util.journal.recovered_records`,
-// `util.journal.torn_tail_bytes` (docs/OBSERVABILITY.md). The `batch_kill`
-// fault site (util/fault.h) fires inside append(), after the record is
-// durable, and raises SIGKILL — the hook the crash-matrix tests and CI use
-// to kill a batch at a seeded journal record.
+// `util.journal.torn_tail_bytes` (docs/OBSERVABILITY.md).
 #pragma once
 
 #include <cstdint>
@@ -75,9 +72,8 @@ class JournalWriter {
   ~JournalWriter();
 
   /// Appends one durable record: single write() + fsync(). Safe to call
-  /// from worker threads under the caller's lock (the batch runner
-  /// serializes appends). Fires the `batch_kill` fault site after the
-  /// record is durable.
+  /// from worker threads under the caller's lock (the result cache
+  /// serializes appends).
   void append(std::string_view payload);
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }

@@ -37,11 +37,11 @@ enum class ErrorCode {
   kResourceExhausted,  ///< governor budget trip (deadline / DP memory) or
                        ///< injected resource fault
   kInternal,           ///< invariant violation — a bug, not an input error
-  kCorruptJournal,     ///< batch journal unrecoverable (bad magic/header)
-  kInterrupted,        ///< run stopped by SIGINT/SIGTERM; resumable
-  kOverloaded,         ///< service admission queue full; retry later
-  kUnknownTenant,      ///< tenant id not in the daemon's registry
-  kUnavailable,        ///< no live backend worker (fleet routing)
+  kCorruptJournal,     ///< journal / cache index unrecoverable (bad magic)
+  kInterrupted,        ///< run stopped by SIGINT/SIGTERM (no producer left)
+  kOverloaded,         ///< admission share exhausted; retry later
+  kUnknownTenant,      ///< tenant id not in the QoS registry
+  kUnavailable,        ///< no live backend worker (no producer left)
 };
 
 /// 1-based source position inside a parsed text; 0 = unknown.

@@ -279,14 +279,13 @@ TEST(Errors, EveryErrorCodeIsCoveredBySomeSite) {
   // kInternal is the "bug, not input" class; classification of a plain
   // std::logic_error is asserted separately below.
   covered[static_cast<std::size_t>(ErrorCode::kInternal)] = true;
-  // These fire from whole-process flows (journal recovery, SIGTERM
-  // drains, service admission) exercised by their own suites
-  // (test_batch_resume, test_service) rather than one library call.
+  // kCorruptJournal fires from journal recovery on a foreign index
+  // (ResultCache.RejectsForeignJournal). kInterrupted, kOverloaded and
+  // kUnavailable have no library producer: they name wire-level outcomes
+  // and keep their positions so exit codes 22-26 stay stable.
   covered[static_cast<std::size_t>(ErrorCode::kCorruptJournal)] = true;
   covered[static_cast<std::size_t>(ErrorCode::kInterrupted)] = true;
   covered[static_cast<std::size_t>(ErrorCode::kOverloaded)] = true;
-  // kUnavailable is produced by the fleet router when no live worker
-  // remains (a whole-fleet condition, exercised in test_fleet).
   covered[static_cast<std::size_t>(ErrorCode::kUnavailable)] = true;
   for (std::size_t i = 0; i < covered.size(); ++i) {
     EXPECT_TRUE(covered[i]) << "no throw site covers "
@@ -361,7 +360,17 @@ TEST(Errors, NamesAndExitCodesAreStable) {
 
   EXPECT_EQ(exit_code_for(ErrorCode::kOk), 0);
   EXPECT_EQ(exit_code_for(ErrorCode::kParse), 11);
+  EXPECT_EQ(exit_code_for(ErrorCode::kIo), 12);
+  EXPECT_EQ(exit_code_for(ErrorCode::kInconsistent), 13);
+  EXPECT_EQ(exit_code_for(ErrorCode::kDeadlocked), 14);
+  EXPECT_EQ(exit_code_for(ErrorCode::kCyclic), 15);
+  EXPECT_EQ(exit_code_for(ErrorCode::kBadOrder), 16);
+  EXPECT_EQ(exit_code_for(ErrorCode::kBadArgument), 17);
+  EXPECT_EQ(exit_code_for(ErrorCode::kOverflow), 18);
+  EXPECT_EQ(exit_code_for(ErrorCode::kLimit), 19);
+  EXPECT_EQ(exit_code_for(ErrorCode::kResourceExhausted), 20);
   EXPECT_EQ(exit_code_for(ErrorCode::kInternal), 21);
+  EXPECT_EQ(exit_code_for(ErrorCode::kCorruptJournal), 22);
   EXPECT_EQ(exit_code_for(ErrorCode::kInterrupted), 23);
   EXPECT_EQ(exit_code_for(ErrorCode::kOverloaded), 24);
   EXPECT_EQ(exit_code_for(ErrorCode::kUnknownTenant), 25);
@@ -389,9 +398,8 @@ TEST(Errors, OverloadedErrorIsTypedAndCatchable) {
 }
 
 TEST(Errors, UnavailableErrorIsTypedAndCatchable) {
-  // The fleet-router "no live worker" rejection (docs/SERVICE.md, "Fleet
-  // mode") follows the same dual-inheritance contract; exit 26 is the
-  // documented code.
+  // The "no live worker" rejection follows the same dual-inheritance
+  // contract; exit 26 is the documented code.
   try {
     throw UnavailableError("no live worker");
   } catch (const std::runtime_error& e) {
@@ -403,7 +411,7 @@ TEST(Errors, UnavailableErrorIsTypedAndCatchable) {
 }
 
 TEST(Errors, UnknownTenantErrorIsTypedAndCatchable) {
-  // The multi-tenant rejection (docs/TENANCY.md) follows the same
+  // The multi-tenant rejection (service/qos.h) follows the same
   // dual-inheritance contract; exit 25 is the documented code.
   try {
     throw UnknownTenantError("no tenant 'ghost'");
@@ -425,20 +433,6 @@ TEST(Errors, StrictFlagParsingRejectsWhatAtoiAccepted) {
   EXPECT_FALSE(util::parse_positive_flag("8q"));    // atoi: 8
   EXPECT_FALSE(util::parse_positive_flag(""));
   EXPECT_EQ(util::parse_positive_flag("4"), 4);
-}
-
-TEST(Errors, SwitchFlagParsingIsExactlyOnOff) {
-  // --control routes through util::parse_on_off; the switch is
-  // documented as exactly on|off, so truthy spellings and typos are
-  // usage errors (exit 2), never a silently-guessed state.
-  EXPECT_EQ(util::parse_on_off("on"), true);
-  EXPECT_EQ(util::parse_on_off("off"), false);
-  EXPECT_FALSE(util::parse_on_off("ON"));
-  EXPECT_FALSE(util::parse_on_off("Off"));
-  EXPECT_FALSE(util::parse_on_off("1"));
-  EXPECT_FALSE(util::parse_on_off("true"));
-  EXPECT_FALSE(util::parse_on_off("of"));  // the typo that motivates strict
-  EXPECT_FALSE(util::parse_on_off(""));
 }
 
 TEST(Errors, TenantNameValidation) {

@@ -7,8 +7,10 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -73,24 +75,26 @@ std::string fingerprint(const ExploreResult& r) {
 TEST_F(Faults, KnownSitesListIsClosedAndCoveredHere) {
   // The closed site list this file forces, one by one. A new injection
   // point must be added both to fault.cpp and to this matrix.
-  // batch_kill raises SIGKILL from inside a journal append, so it is
-  // forced from a fork()ed child in tests/test_batch_resume.cpp rather
-  // than here; the svc_* service sites need a live daemon/router/cache
-  // and are forced end-to-end in tests/test_chaos.cpp and
+  // The svc_* sites sit in the service building blocks (transport,
+  // result cache, hot tier); the transport pair is forced in
   // tests/test_transport.cpp.
   const std::vector<std::string_view> expected = {
-      "parse_oom",       "io_open",        "dp_mem",
-      "dp_deadline",     "explore_point",  "pool_spawn",
-      "batch_kill",      "svc_accept",     "svc_recv_torn",
-      "svc_send_short",  "svc_peer_timeout", "svc_cache_read",
-      "svc_cache_write", "svc_worker_stall",
+      "parse_oom",      "io_open",        "dp_mem",
+      "dp_deadline",    "explore_point",  "pool_spawn",
+      "svc_recv_torn",  "svc_send_short", "svc_cache_read",
+      "svc_cache_write",
   };
-  EXPECT_EQ(fault::known_sites(), expected);
+  const std::span<const std::string_view> sites = fault::known_sites();
+  EXPECT_EQ(std::vector<std::string_view>(sites.begin(), sites.end()),
+            expected);
 }
 
 TEST_F(Faults, SpecParsingRejectsGarbage) {
   EXPECT_THROW(fault::configure("definitely_not_a_site:1", 0),
                BadArgumentError);
+  // Names outside the registry are rejected, never silently ignored.
+  EXPECT_THROW(fault::configure("svc_accept:1", 0), BadArgumentError);
+  EXPECT_THROW(fault::configure("batch_kill:1", 0), BadArgumentError);
   EXPECT_THROW(fault::configure("parse_oom:x", 0), BadArgumentError);
   EXPECT_THROW(fault::configure("parse_oom:0", 0), BadArgumentError);
   fault::configure("", 0);

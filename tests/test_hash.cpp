@@ -1,6 +1,6 @@
 // util/hash.h: FNV-1a against the published reference vectors, plus the
-// chaining and stability properties the fault injector and the service
-// cache key depend on.
+// chaining and stability properties the fault injector and the explore
+// memo key depend on.
 #include "util/hash.h"
 
 #include <gtest/gtest.h>
@@ -20,25 +20,17 @@ TEST(Fnv1a64, ReferenceVectors) {
   EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ULL);
 }
 
-TEST(Fnv1a32, ReferenceVectors) {
-  EXPECT_EQ(fnv1a32(""), 0x811c9dc5u);
-  EXPECT_EQ(fnv1a32("a"), 0xe40c292cu);
-  EXPECT_EQ(fnv1a32("foobar"), 0xbf9cf968u);
-}
-
 TEST(Fnv1a64, EmptyInputReturnsSeed) {
   EXPECT_EQ(fnv1a64(""), kFnv64Offset);
   EXPECT_EQ(fnv1a64("", 12345u), 12345u);
 }
 
 TEST(Fnv1a64, ChainingEqualsConcatenation) {
-  // fnv1a64(b, fnv1a64(a)) must hash exactly like fnv1a64(a + b) — the
-  // cache key relies on this to chain graph text with the option
-  // fingerprint without concatenating strings.
+  // fnv1a64(b, fnv1a64(a)) must hash exactly like fnv1a64(a + b), so a
+  // key can be extended over more data without concatenating strings.
   const std::string a = "graph satrec\nactor A\n";
   const std::string b = "order=rpmc;opt=sdppo";
   EXPECT_EQ(fnv1a64(b, fnv1a64(a)), fnv1a64(a + b));
-  EXPECT_EQ(fnv1a32(b, fnv1a32(a)), fnv1a32(a + b));
 }
 
 TEST(Fnv1a64, ChainingIsOrderSensitive) {
@@ -47,7 +39,7 @@ TEST(Fnv1a64, ChainingIsOrderSensitive) {
 
 TEST(Fnv1a64, HighBytesAreNotSignExtended) {
   // Bytes >= 0x80 must enter as unsigned; a char sign-extension bug
-  // would smear the high bits and break on-disk cache keys.
+  // would smear the high bits and make hashes platform-dependent.
   const std::string high("\xff\x80\x01", 3);
   EXPECT_EQ(fnv1a64(high),
             fnv1a64("\x01", fnv1a64("\x80", fnv1a64("\xff"))));
@@ -55,7 +47,6 @@ TEST(Fnv1a64, HighBytesAreNotSignExtended) {
 
 TEST(Fnv1a64, IsConstexpr) {
   static_assert(fnv1a64("a") == 0xaf63dc4c8601ec8cULL);
-  static_assert(fnv1a32("a") == 0xe40c292cu);
   SUCCEED();
 }
 

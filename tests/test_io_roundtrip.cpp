@@ -108,7 +108,7 @@ const std::map<std::string, ExpectedDiagnostic>& corpus_expectations() {
       {"negative_delay.sdf", {4, 10, "delay must be non-negative"}},
       {"actor_without_name.sdf", {5, 1, "actor needs a name"}},
       // A file cut off mid-write (no trailing newline, edge missing its
-      // rates) — the torn-file analogue of the batch journal's torn tail.
+      // rates).
       {"truncated_edge.sdf", {4, 1, "edge needs"}},
       // CRLF line endings: the \r must count as whitespace, not shift the
       // reported column of the offending token.

@@ -194,8 +194,7 @@ TEST_F(ObsTest, CompileEmitsOneSpanPerFig21Stage) {
 
   // Stage spans nest under the top-level compile span.
   for (const obs::SpanRecord& rec : obs::spans()) {
-    if (rec.name.starts_with("pipeline.stage.") &&
-        rec.name != "pipeline.stage.order") {
+    if (rec.name.starts_with("pipeline.stage.")) {
       EXPECT_GE(rec.depth, 1) << rec.name;
     }
     EXPECT_GE(rec.end_ns, rec.start_ns) << rec.name;

@@ -1,9 +1,9 @@
-// Unit coverage for the multi-tenant QoS layer (service/qos.h,
-// docs/TENANCY.md): token-bucket refill arithmetic at boundary costs,
-// weighted-fair scheduling determinism, starvation freedom under a 10:1
-// hog mix, throttle interactions, and the tenants-config parser. All of
-// it runs on explicit timestamps — no sockets, no wall clock, so every
-// assertion is exact and replayable.
+// Unit coverage for the multi-tenant QoS layer (service/qos.h):
+// token-bucket refill arithmetic at boundary costs, weighted-fair
+// scheduling determinism, starvation freedom under a 10:1 hog mix,
+// throttle interactions, and the tenants-config parser. All of it runs
+// on explicit timestamps — no sockets, no wall clock, so every assertion
+// is exact and replayable.
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -1,6 +1,6 @@
 // Property tests for the consistent-hash ring (service/ring.h): the
-// balance and minimal-remap guarantees the fleet router's cache locality
-// rests on (docs/SERVICE.md, "Fleet mode").
+// balance and minimal-remap guarantees a fleet router's cache locality
+// rests on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
