@@ -160,7 +160,11 @@ CompileResult run_pipeline(const Graph& g, const Repetitions& base_q,
     }
   }
   result.q = base_q;
-  for (auto& reps : result.q) reps *= options.blocking_factor;
+  for (auto& reps : result.q) {
+    if (__builtin_mul_overflow(reps, options.blocking_factor, &reps)) {
+      throw ArithmeticOverflowError("compile: q * blocking_factor overflow");
+    }
+  }
 
   {
     const obs::Span dp_span("pipeline.stage.loop_dp");

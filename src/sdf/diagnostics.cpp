@@ -6,7 +6,7 @@
 namespace sdf {
 namespace {
 
-constexpr std::array<std::pair<ErrorCode, std::string_view>, 17> kNames{{
+constexpr std::array<std::pair<ErrorCode, std::string_view>, 12> kNames{{
     {ErrorCode::kOk, "ok"},
     {ErrorCode::kParse, "parse"},
     {ErrorCode::kIo, "io"},
@@ -19,11 +19,6 @@ constexpr std::array<std::pair<ErrorCode, std::string_view>, 17> kNames{{
     {ErrorCode::kLimit, "limit"},
     {ErrorCode::kResourceExhausted, "resource-exhausted"},
     {ErrorCode::kInternal, "internal"},
-    {ErrorCode::kCorruptJournal, "corrupt-journal"},
-    {ErrorCode::kInterrupted, "interrupted"},
-    {ErrorCode::kOverloaded, "overloaded"},
-    {ErrorCode::kUnknownTenant, "unknown-tenant"},
-    {ErrorCode::kUnavailable, "unavailable"},
 }};
 
 }  // namespace
@@ -44,7 +39,7 @@ ErrorCode error_code_from_name(std::string_view name) noexcept {
 
 int exit_code_for(ErrorCode code) noexcept {
   if (code == ErrorCode::kOk) return 0;
-  return 10 + static_cast<int>(code);  // kParse=11 ... kUnavailable=26
+  return 10 + static_cast<int>(code);  // kParse=11 ... kInternal=21
 }
 
 Diagnostic diagnostic_from_exception(const std::exception& e) {

@@ -2,7 +2,7 @@
 // ErrorCode, process exit codes for the CLI, exception -> Diagnostic
 // conversion for the pipeline boundary, and the machine-readable JSON
 // error shape ({"error": {code, message, loc, ...}}) shared by
-// `sdfmem_cli --json` and any service front end. See docs/ERRORS.md.
+// `sdfmem_cli --json`. See docs/ERRORS.md.
 #pragma once
 
 #include <string_view>
@@ -20,7 +20,7 @@ namespace sdf {
 [[nodiscard]] ErrorCode error_code_from_name(std::string_view name) noexcept;
 
 /// Distinct process exit code per ErrorCode (documented in docs/ERRORS.md):
-/// kOk -> 0, then 10 + enum position (kParse -> 11, ... kOverloaded -> 24).
+/// kOk -> 0, then 10 + enum position (kParse -> 11, ... kInternal -> 21).
 /// 1 and 2 stay reserved for generic failure and usage errors.
 [[nodiscard]] int exit_code_for(ErrorCode code) noexcept;
 

@@ -20,11 +20,9 @@ std::atomic<bool> g_enabled{false};
 namespace {
 
 /// The closed injection-site registry; its size sizes Config::sites.
-constexpr std::array<std::string_view, 10> kSites = {
-    "parse_oom",      "io_open",        "dp_mem",
-    "dp_deadline",    "explore_point",  "pool_spawn",
-    "svc_recv_torn",  "svc_send_short", "svc_cache_read",
-    "svc_cache_write",
+constexpr std::array<std::string_view, 6> kSites = {
+    "parse_oom",   "io_open",       "dp_mem",
+    "dp_deadline", "explore_point", "pool_spawn",
 };
 
 struct ArmedSite {

@@ -37,15 +37,6 @@ namespace sdf::fault {
 ///   dp_deadline  — chain_dp/dppo/sdppo cooperative deadline trip
 ///   explore_point— one design-point evaluation in the explore sweep
 ///   pool_spawn   — ThreadPool worker-thread creation failure
-///
-/// Service building-block sites (src/service/):
-///   svc_recv_torn   — FrameReader: the stream tears mid-frame
-///                     (surfaces as ReadOutcome::kClosed)
-///   svc_send_short  — send_all / send_all_or_throw: the write fails
-///                     as if the peer vanished
-///   svc_cache_read  — cache/hot-tier object read fails verification
-///                     (treated as a corrupt object: dropped, miss)
-///   svc_cache_write — cache insert fails with an IoError (disk full)
 [[nodiscard]] std::span<const std::string_view> known_sites();
 
 /// Installs a fault spec ("site:n,site:n" — see file comment), replacing

@@ -1,5 +1,4 @@
-// Strict flag-value parsing for the sdfmem_cli front end, plus the
-// tenant-id check the service request codec and QoS registry share. The
+// Strict flag-value parsing for the sdfmem_cli front end. The
 // historical std::atoi / lenient strtoll paths silently accepted "abc"
 // (as 0) and treated a non-positive count as a real value;
 // docs/ERRORS.md pins that a malformed flag value is a *usage* error
@@ -29,21 +28,6 @@ namespace sdf::util {
   }
   if (value <= 0) return std::nullopt;
   return value;
-}
-
-/// Validates a tenant id: 1-64 chars drawn from [a-z0-9_-]. The charset
-/// is deliberately tight — tenant names become telemetry counter
-/// segments and JSON object keys, so anything that would need escaping
-/// is rejected at the edge (request parse and tenant config alike).
-[[nodiscard]] constexpr bool valid_tenant_name(
-    std::string_view name) noexcept {
-  if (name.empty() || name.size() > 64) return false;
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
-                    c == '-' || c == '_';
-    if (!ok) return false;
-  }
-  return true;
 }
 
 }  // namespace sdf::util

@@ -6,7 +6,7 @@
 //     site historically threw (so `catch (std::invalid_argument)` keeps
 //     working) and the `SdfError` mixin that carries a `Diagnostic` —
 //     machine-readable code + offending actor/edge + source location.
-//   * The pipeline boundary (compile_checked, the CLI, services) converts
+//   * The pipeline boundary (compile_checked, the CLI) converts
 //     any in-flight exception into a `Result<T>` via
 //     `diagnostic_from_exception` (sdf/diagnostics.h) instead of letting
 //     it unwind into the caller's face.
@@ -37,11 +37,6 @@ enum class ErrorCode {
   kResourceExhausted,  ///< governor budget trip (deadline / DP memory) or
                        ///< injected resource fault
   kInternal,           ///< invariant violation — a bug, not an input error
-  kCorruptJournal,     ///< journal / cache index unrecoverable (bad magic)
-  kInterrupted,        ///< run stopped by SIGINT/SIGTERM (no producer left)
-  kOverloaded,         ///< admission share exhausted; retry later
-  kUnknownTenant,      ///< tenant id not in the QoS registry
-  kUnavailable,        ///< no live backend worker (no producer left)
 };
 
 /// 1-based source position inside a parsed text; 0 = unknown.
@@ -119,16 +114,6 @@ using ResourceExhaustedError =
     detail::TypedError<std::runtime_error, ErrorCode::kResourceExhausted>;
 using InternalError =
     detail::TypedError<std::logic_error, ErrorCode::kInternal>;
-using CorruptJournalError =
-    detail::TypedError<std::runtime_error, ErrorCode::kCorruptJournal>;
-using InterruptedError =
-    detail::TypedError<std::runtime_error, ErrorCode::kInterrupted>;
-using OverloadedError =
-    detail::TypedError<std::runtime_error, ErrorCode::kOverloaded>;
-using UnknownTenantError =
-    detail::TypedError<std::runtime_error, ErrorCode::kUnknownTenant>;
-using UnavailableError =
-    detail::TypedError<std::runtime_error, ErrorCode::kUnavailable>;
 
 /// Value-or-diagnostic return for the pipeline boundary. Interior code
 /// keeps throwing; the boundary catches once and hands callers this.

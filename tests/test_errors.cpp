@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "graphs/satellite.h"
 #include "lifetime/schedule_tree.h"
 #include "pipeline/compile.h"
 #include "sched/chain_dp.h"
@@ -23,7 +24,6 @@
 #include "sdf/diagnostics.h"
 #include "sdf/io.h"
 #include "sdf/repetitions.h"
-#include "service/qos.h"
 #include "util/fault.h"
 #include "util/flags.h"
 #include "util/status.h"
@@ -199,6 +199,13 @@ std::vector<ThrowSite> throw_sites() {
          (void)compile(fig2_graph(), opts);
        },
        ErrorCode::kBadArgument},
+      {"compile: q * blocking factor overflows int64",
+       [] {
+         CompileOptions opts;
+         opts.blocking_factor = std::int64_t{1} << 53;
+         (void)compile(satellite_receiver(), opts);
+       },
+       ErrorCode::kOverflow},
       {"fault: unknown site",
        [] { fault::configure("no_such_site:1", 0); },
        ErrorCode::kBadArgument},
@@ -219,15 +226,6 @@ std::vector<ThrowSite> throw_sites() {
          fault::clear();
        },
        ErrorCode::kResourceExhausted},
-
-      // --- src/service -----------------------------------------------
-      {"qos: weighted-fair push for an unregistered tenant",
-       [] {
-         svc::qos::WeightedFairQueue queue;
-         queue.add_tenant("public", 1.0, svc::qos::TokenBucket());
-         (void)queue.push("ghost", 100);
-       },
-       ErrorCode::kUnknownTenant},
   };
 }
 
@@ -271,7 +269,7 @@ TEST(Errors, ScheduleTreeArithmeticOverflowIsTyped) {
 
 TEST(Errors, EveryErrorCodeIsCoveredBySomeSite) {
   std::vector<bool> covered(
-      static_cast<std::size_t>(ErrorCode::kUnavailable) + 1);
+      static_cast<std::size_t>(ErrorCode::kInternal) + 1);
   for (const ThrowSite& site : throw_sites()) {
     covered[static_cast<std::size_t>(site.code)] = true;
   }
@@ -279,14 +277,6 @@ TEST(Errors, EveryErrorCodeIsCoveredBySomeSite) {
   // kInternal is the "bug, not input" class; classification of a plain
   // std::logic_error is asserted separately below.
   covered[static_cast<std::size_t>(ErrorCode::kInternal)] = true;
-  // kCorruptJournal fires from journal recovery on a foreign index
-  // (ResultCache.RejectsForeignJournal). kInterrupted, kOverloaded and
-  // kUnavailable have no library producer: they name wire-level outcomes
-  // and keep their positions so exit codes 22-26 stay stable.
-  covered[static_cast<std::size_t>(ErrorCode::kCorruptJournal)] = true;
-  covered[static_cast<std::size_t>(ErrorCode::kInterrupted)] = true;
-  covered[static_cast<std::size_t>(ErrorCode::kOverloaded)] = true;
-  covered[static_cast<std::size_t>(ErrorCode::kUnavailable)] = true;
   for (std::size_t i = 0; i < covered.size(); ++i) {
     EXPECT_TRUE(covered[i]) << "no throw site covers "
                             << error_code_name(static_cast<ErrorCode>(i));
@@ -352,11 +342,6 @@ TEST(Errors, NamesAndExitCodesAreStable) {
   EXPECT_EQ(error_code_name(ErrorCode::kResourceExhausted),
             "resource-exhausted");
   EXPECT_EQ(error_code_name(ErrorCode::kInternal), "internal");
-  EXPECT_EQ(error_code_name(ErrorCode::kCorruptJournal), "corrupt-journal");
-  EXPECT_EQ(error_code_name(ErrorCode::kInterrupted), "interrupted");
-  EXPECT_EQ(error_code_name(ErrorCode::kOverloaded), "overloaded");
-  EXPECT_EQ(error_code_name(ErrorCode::kUnknownTenant), "unknown-tenant");
-  EXPECT_EQ(error_code_name(ErrorCode::kUnavailable), "unavailable");
 
   EXPECT_EQ(exit_code_for(ErrorCode::kOk), 0);
   EXPECT_EQ(exit_code_for(ErrorCode::kParse), 11);
@@ -370,56 +355,17 @@ TEST(Errors, NamesAndExitCodesAreStable) {
   EXPECT_EQ(exit_code_for(ErrorCode::kLimit), 19);
   EXPECT_EQ(exit_code_for(ErrorCode::kResourceExhausted), 20);
   EXPECT_EQ(exit_code_for(ErrorCode::kInternal), 21);
-  EXPECT_EQ(exit_code_for(ErrorCode::kCorruptJournal), 22);
-  EXPECT_EQ(exit_code_for(ErrorCode::kInterrupted), 23);
-  EXPECT_EQ(exit_code_for(ErrorCode::kOverloaded), 24);
-  EXPECT_EQ(exit_code_for(ErrorCode::kUnknownTenant), 25);
-  EXPECT_EQ(exit_code_for(ErrorCode::kUnavailable), 26);
 
-  for (int c = 0; c <= static_cast<int>(ErrorCode::kUnavailable); ++c) {
+  for (int c = 0; c <= static_cast<int>(ErrorCode::kInternal); ++c) {
     const auto code = static_cast<ErrorCode>(c);
     EXPECT_EQ(error_code_from_name(error_code_name(code)), code);
   }
   EXPECT_EQ(error_code_from_name("no-such-code"), ErrorCode::kInternal);
-}
-
-TEST(Errors, OverloadedErrorIsTypedAndCatchable) {
-  // The service backpressure error satisfies the same dual-inheritance
-  // contract as every other typed error: a std::runtime_error for
-  // historical catch sites, an SdfError carrying the structured code.
-  try {
-    throw OverloadedError("queue full");
-  } catch (const std::runtime_error& e) {
-    const Diagnostic diag = diagnostic_from_exception(e);
-    EXPECT_EQ(diag.code, ErrorCode::kOverloaded);
-    EXPECT_EQ(diag.message, "queue full");
-    EXPECT_EQ(exit_code_for(diag.code), 24);
-  }
-}
-
-TEST(Errors, UnavailableErrorIsTypedAndCatchable) {
-  // The "no live worker" rejection follows the same dual-inheritance
-  // contract; exit 26 is the documented code.
-  try {
-    throw UnavailableError("no live worker");
-  } catch (const std::runtime_error& e) {
-    const Diagnostic diag = diagnostic_from_exception(e);
-    EXPECT_EQ(diag.code, ErrorCode::kUnavailable);
-    EXPECT_EQ(diag.message, "no live worker");
-    EXPECT_EQ(exit_code_for(diag.code), 26);
-  }
-}
-
-TEST(Errors, UnknownTenantErrorIsTypedAndCatchable) {
-  // The multi-tenant rejection (service/qos.h) follows the same
-  // dual-inheritance contract; exit 25 is the documented code.
-  try {
-    throw UnknownTenantError("no tenant 'ghost'");
-  } catch (const std::runtime_error& e) {
-    const Diagnostic diag = diagnostic_from_exception(e);
-    EXPECT_EQ(diag.code, ErrorCode::kUnknownTenant);
-    EXPECT_EQ(diag.message, "no tenant 'ghost'");
-    EXPECT_EQ(exit_code_for(diag.code), 25);
+  // Exit codes 22-26 are retired and never reused: their old names are
+  // unknown now, like any other.
+  for (const char* retired : {"corrupt-journal", "interrupted", "overloaded",
+                              "unknown-tenant", "unavailable"}) {
+    EXPECT_EQ(error_code_from_name(retired), ErrorCode::kInternal) << retired;
   }
 }
 
@@ -433,18 +379,6 @@ TEST(Errors, StrictFlagParsingRejectsWhatAtoiAccepted) {
   EXPECT_FALSE(util::parse_positive_flag("8q"));    // atoi: 8
   EXPECT_FALSE(util::parse_positive_flag(""));
   EXPECT_EQ(util::parse_positive_flag("4"), 4);
-}
-
-TEST(Errors, TenantNameValidation) {
-  // Tenant ids become counter segments and JSON keys (util/flags.h), so
-  // the charset is pinned: 1-64 of [a-z0-9_-].
-  EXPECT_TRUE(util::valid_tenant_name("public"));
-  EXPECT_TRUE(util::valid_tenant_name("team-a_01"));
-  EXPECT_FALSE(util::valid_tenant_name(""));
-  EXPECT_FALSE(util::valid_tenant_name("Upper"));
-  EXPECT_FALSE(util::valid_tenant_name("dot.name"));
-  EXPECT_FALSE(util::valid_tenant_name("sp ace"));
-  EXPECT_FALSE(util::valid_tenant_name(std::string(65, 'a')));
 }
 
 TEST(Errors, DiagnosticFromExceptionClassifiesPlainStdTypes) {

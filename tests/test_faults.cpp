@@ -75,14 +75,9 @@ std::string fingerprint(const ExploreResult& r) {
 TEST_F(Faults, KnownSitesListIsClosedAndCoveredHere) {
   // The closed site list this file forces, one by one. A new injection
   // point must be added both to fault.cpp and to this matrix.
-  // The svc_* sites sit in the service building blocks (transport,
-  // result cache, hot tier); the transport pair is forced in
-  // tests/test_transport.cpp.
   const std::vector<std::string_view> expected = {
-      "parse_oom",      "io_open",        "dp_mem",
-      "dp_deadline",    "explore_point",  "pool_spawn",
-      "svc_recv_torn",  "svc_send_short", "svc_cache_read",
-      "svc_cache_write",
+      "parse_oom",   "io_open",       "dp_mem",
+      "dp_deadline", "explore_point", "pool_spawn",
   };
   const std::span<const std::string_view> sites = fault::known_sites();
   EXPECT_EQ(std::vector<std::string_view>(sites.begin(), sites.end()),
@@ -95,6 +90,8 @@ TEST_F(Faults, SpecParsingRejectsGarbage) {
   // Names outside the registry are rejected, never silently ignored.
   EXPECT_THROW(fault::configure("svc_accept:1", 0), BadArgumentError);
   EXPECT_THROW(fault::configure("batch_kill:1", 0), BadArgumentError);
+  EXPECT_THROW(fault::configure("svc_recv_torn:1", 0), BadArgumentError);
+  EXPECT_THROW(fault::configure("svc_cache_write:1", 0), BadArgumentError);
   EXPECT_THROW(fault::configure("parse_oom:x", 0), BadArgumentError);
   EXPECT_THROW(fault::configure("parse_oom:0", 0), BadArgumentError);
   fault::configure("", 0);
