@@ -1,8 +1,8 @@
 // Consistent-hash ring over worker ids (docs/ARCHITECTURE.md, "Service
 // building blocks").
 //
-// The routing layer of the service split (transport / routing / cache
-// tiers). Each worker id is hashed onto the ring at `vnodes` points
+// The routing layer left from the retired compile service; it has no
+// in-tree caller outside tests/test_ring.cpp. Each worker id is hashed onto the ring at `vnodes` points
 // (FNV-1a of "id#k", util/hash.h); a request key is owned by the first
 // vnode clockwise from the key. Virtual nodes smooth the distribution —
 // with 64 vnodes the per-worker share across 4 workers stays within
