@@ -102,8 +102,7 @@ inline DppoResult dppo(const Graph& g, const Repetitions& q,
   const SplitCosts costs(g, q, order);
   std::vector<std::vector<std::int64_t>> b(
       n, std::vector<std::int64_t>(n, 0));
-  SplitTable splits;
-  splits.at.assign(n, std::vector<std::size_t>(n, 0));
+  SplitTable splits(n);
   for (std::size_t len = 2; len <= n; ++len) {
     for (std::size_t i = 0; i + len <= n; ++i) {
       const std::size_t j = i + len - 1;
@@ -118,7 +117,7 @@ inline DppoResult dppo(const Graph& g, const Repetitions& q,
         }
       }
       b[i][j] = best;
-      splits.at[i][j] = best_k;
+      splits.at(i, j) = best_k;
     }
   }
   DppoResult result;
@@ -134,8 +133,7 @@ inline SdppoResult sdppo(const Graph& g, const Repetitions& q,
   const SplitCosts costs(g, q, order);
   std::vector<std::vector<std::int64_t>> b(
       n, std::vector<std::int64_t>(n, 0));
-  SplitTable splits;
-  splits.at.assign(n, std::vector<std::size_t>(n, 0));
+  SplitTable splits(n);
   for (std::size_t len = 2; len <= n; ++len) {
     for (std::size_t i = 0; i + len <= n; ++i) {
       const std::size_t j = i + len - 1;
@@ -153,7 +151,7 @@ inline SdppoResult sdppo(const Graph& g, const Repetitions& q,
         }
       }
       b[i][j] = best;
-      splits.at[i][j] = best_k;
+      splits.at(i, j) = best_k;
     }
   }
   SdppoResult result;

@@ -170,11 +170,10 @@ ChainDpResult chain_sdppo_exact(const Graph& g, const Repetitions& q,
       const std::size_t j = i + len - 1;
       governor_checkpoint("sched.chain_dp");
       const std::int64_t gij = costs.gij(i, j);
-      const SplitCosts::Slice sc = costs.slice(i, j);
       Cell& cell = table[tri_at(n, i, j)];
       ++cells;
       for (std::size_t k = i; k < j; ++k) {
-        const std::int64_t c = sc.cost(k);
+        const std::int64_t c = costs.split_cost(i, k, j, gij);
         const std::int64_t rl = costs.gij(i, k) / gij;
         const std::int64_t rr = costs.gij(k + 1, j) / gij;
         const Cell& lcell = table[tri_at(n, i, k)];

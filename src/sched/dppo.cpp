@@ -51,12 +51,6 @@ SplitCosts::SplitCosts(const Graph& g, const Repetitions& q,
       delay_prefix_(util::ArenaAllocator<std::int64_t>(arena)),
       wsum_prefix_(util::ArenaAllocator<std::int64_t>(arena)),
       count_prefix_(util::ArenaAllocator<std::int64_t>(arena)),
-      tnse_tprefix_(util::ArenaAllocator<std::int64_t>(arena)),
-      delay_tprefix_(util::ArenaAllocator<std::int64_t>(arena)),
-      wsum_tprefix_(util::ArenaAllocator<std::int64_t>(arena)),
-      tnse_diag_(util::ArenaAllocator<std::int64_t>(arena)),
-      delay_diag_(util::ArenaAllocator<std::int64_t>(arena)),
-      wsum_diag_(util::ArenaAllocator<std::int64_t>(arena)),
       gcd_(util::ArenaAllocator<std::int64_t>(arena)),
       gcd_inv_(util::ArenaAllocator<std::uint64_t>(arena)) {
   util::ArenaVector<std::int32_t> pos(
@@ -74,25 +68,6 @@ SplitCosts::SplitCosts(const Graph& g, const Repetitions& q,
                [&](EdgeId e) { return tnse(g, q, e) + g.edge(e).delay; });
   build_prefix(g, order, pos.data(), count_prefix_,
                [](EdgeId) { return 1; });
-
-  // Transposed and diagonal mirrors of the weight squares so Slice's
-  // k-loop loads stream contiguously (see sched/dppo.h).
-  const auto mirror = [&](const util::ArenaVector<std::int64_t>& src,
-                          util::ArenaVector<std::int64_t>& transposed,
-                          util::ArenaVector<std::int64_t>& diagonal) {
-    transposed.assign(stride_ * stride_, 0);
-    diagonal.assign(stride_, 0);
-    for (std::size_t a = 0; a < stride_; ++a) {
-      const std::int64_t* row = src.data() + a * stride_;
-      for (std::size_t b = 0; b < stride_; ++b) {
-        transposed[b * stride_ + a] = row[b];
-      }
-      diagonal[a] = row[a];
-    }
-  };
-  mirror(tnse_prefix_, tnse_tprefix_, tnse_diag_);
-  mirror(delay_prefix_, delay_tprefix_, delay_diag_);
-  mirror(wsum_prefix_, wsum_tprefix_, wsum_diag_);
 
   gcd_.assign(tri_cells(n_), 0);
   for (std::size_t i = 0; i < n_; ++i) {
@@ -113,83 +88,41 @@ SplitCosts::SplitCosts(const Graph& g, const Repetitions& q,
   }
 }
 
-DppoResult dppo(const Graph& g, const Repetitions& q,
-                const std::vector<ActorId>& order, util::Arena* arena,
-                const SplitCosts* shared_costs) {
-  if (!is_topological_order(g, order)) {
-    throw BadOrderError("dppo: order is not a topological order");
-  }
-  const std::size_t n = order.size();
-
-  // Governance: the tables below are carved from the arena, so every
-  // chunk acquisition is charged against the governor's dp_mem budget (and
-  // is the "dp_mem" fault point); each cell is a cooperative deadline
-  // checkpoint (see pipeline/governor.h and util/arena.h).
-  util::Arena local_arena("sched.dppo");
-  util::Arena& a = arena != nullptr ? *arena : local_arena;
-  const util::Arena::Scope dp_scope(a);
-
-  std::optional<SplitCosts> own_costs;
-  if (shared_costs == nullptr || shared_costs->size() != n) {
-    own_costs.emplace(g, q, order, &a);
-  }
-  const SplitCosts& costs = own_costs ? *own_costs : *shared_costs;
-
-  constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
-  // Structure-of-arrays triangles: the cost table is mirrored row-major
-  // (b_row) and column-major (b_col) so the k-loop streams both b[i][k]
-  // and b[k+1][j] contiguously; splits are a separate flat array.
-  const std::size_t cells_total = tri_cells(n);
-  std::int64_t* b_row = a.alloc_array<std::int64_t>(cells_total);
-  std::int64_t* b_col = a.alloc_array<std::int64_t>(cells_total);
-  std::uint32_t* split = a.alloc_array<std::uint32_t>(cells_total);
-  std::fill_n(b_row, cells_total, 0);
-  std::fill_n(b_col, cells_total, 0);
-  std::fill_n(split, cells_total, 0);
-
-  std::int64_t cells = 0;
-  std::int64_t split_candidates = 0;
-  for (std::size_t len = 2; len <= n; ++len) {
-    for (std::size_t i = 0; i + len <= n; ++i) {
-      const std::size_t j = i + len - 1;
-      governor_checkpoint("sched.dppo");
-      const SplitCosts::Slice sc = costs.slice(i, j);
-      const std::int64_t* row_i = b_row + tri_at(n, i, i) - i;  // b[i][k]
-      const std::int64_t* col_j = b_col + tri_col_at(0, j);     // b[k+1][j]
-      std::int64_t best = kInf;
-      std::size_t best_k = i;
-      for (std::size_t k = i; k < j; ++k) {
-        const std::int64_t total = row_i[k] + col_j[k + 1] + sc.cost(k);
-        if (total < best) {
-          best = total;
-          best_k = k;
-        }
-      }
-      b_row[tri_at(n, i, j)] = best;
-      b_col[tri_col_at(i, j)] = best;
-      split[tri_at(n, i, j)] = static_cast<std::uint32_t>(best_k);
-      ++cells;
-      split_candidates += static_cast<std::int64_t>(len) - 1;
+void SplitCosts::Column::load(std::size_t j) {
+  const SplitCosts& c = costs_;
+  const std::size_t stride = c.stride_;
+  j_ = j;
+  const auto fuse = [&](const util::ArenaVector<std::int64_t>& square,
+                        std::int64_t* out) {
+    for (std::size_t m = 0; m <= j; ++m) {
+      const std::int64_t* row = square.data() + m * stride;
+      out[m] = row[j + 1] - row[m];
     }
+  };
+  fuse(c.wsum_prefix_, w_);
+  // gcd of a range divides every sub-range's gcd, so gij(j-1, j) == 1
+  // forces gij(i, j) == 1 for all i: scan() never reads t_/d_ then.
+  if (c.gij(j - 1, j) != 1) {
+    fuse(c.tnse_prefix_, t_);
+    fuse(c.delay_prefix_, d_);
   }
-  obs::count("sched.dppo.cells", cells);
-  obs::count("sched.dppo.splits", split_candidates);
-
-  DppoResult result;
-  result.cost = n >= 2 ? b_row[tri_at(n, 0, n - 1)] : 0;
-  result.splits.at.assign(n, std::vector<std::size_t>(n, 0));
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      result.splits.at[i][j] = split[tri_at(n, i, j)];
-    }
-  }
-  result.schedule = schedule_from_splits(g, q, order, result.splits);
-  return result;
 }
 
-std::int64_t dppo_cost(const Graph& g, const Repetitions& q,
-                       const std::vector<ActorId>& order, util::Arena* arena,
-                       const SplitCosts* shared_costs) {
+namespace {
+
+// The one DPPO table fill (EQ 2): j-outer, i descending, so b[i][k] (row
+// i, columns < j) and b[k+1][j] (column j, rows > i) are final before cell
+// (i, j) reads them. The cost triangle is kept row-major (b_row) and
+// column-major (b_col) so both reads stream contiguously. With
+// kTrackSplits the same k-ascending scan records the first strict
+// minimum in `result`, which then gets the split table and the schedule.
+// One governor checkpoint per cell: the tables are carved from the arena,
+// so every chunk acquisition is charged against the dp_mem budget (and is
+// the "dp_mem" fault point; see pipeline/governor.h and util/arena.h).
+template <bool kTrackSplits>
+std::int64_t fill(const Graph& g, const Repetitions& q,
+                  const std::vector<ActorId>& order, util::Arena* arena,
+                  const SplitCosts* shared_costs, DppoResult* result) {
   if (!is_topological_order(g, order)) {
     throw BadOrderError("dppo: order is not a topological order");
   }
@@ -206,87 +139,72 @@ std::int64_t dppo_cost(const Graph& g, const Repetitions& q,
   const SplitCosts& costs = own_costs ? *own_costs : *shared_costs;
 
   constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
-  // The same mirrored triangles as dppo(), minus the split array — the
-  // backtracking state exists only to build a schedule. Only the diagonal
-  // needs initializing: interval-DP fill order writes every longer range
-  // before any cell reads it.
-  const std::size_t stride = n + 1;
   const std::size_t cells_total = tri_cells(n);
   std::int64_t* b_row = a.alloc_array<std::int64_t>(cells_total);
   std::int64_t* b_col = a.alloc_array<std::int64_t>(cells_total);
+  std::uint32_t* split =
+      kTrackSplits ? a.alloc_array<std::uint32_t>(cells_total) : nullptr;
   for (std::size_t i = 0; i < n; ++i) {
     b_row[tri_at(n, i, i)] = 0;
     b_col[tri_col_at(i, i)] = 0;
+    if constexpr (kTrackSplits) split[tri_at(n, i, i)] = 0;
   }
-  std::int64_t* fw = a.alloc_array<std::int64_t>(stride);
-  std::int64_t* ft = a.alloc_array<std::int64_t>(stride);
-  std::int64_t* fd = a.alloc_array<std::int64_t>(stride);
+  SplitCosts::Column column(costs, a);
 
-  // j-outer fill with per-column fused (column - diagonal) scratch: the
-  // common gcd == 1 k-loop then makes three streaming loads per split.
-  // Same per-(i,k,j) integer arithmetic as slice() — identical results,
-  // identical checkpoint and telemetry counts; only the cell visit order
-  // and memory traffic change.
   std::int64_t cells = 0;
   std::int64_t split_candidates = 0;
   for (std::size_t j = 1; j < n; ++j) {
-    const std::int64_t* wt = costs.wsum_tprefix_.data() + (j + 1) * stride;
-    const std::int64_t* wd = costs.wsum_diag_.data();
-    for (std::size_t m = 0; m <= j; ++m) fw[m] = wt[m] - wd[m];
-    // gcd of a range divides every sub-range's gcd, so gij(j-1, j) == 1
-    // forces gij(i, j) == 1 for all i — the t/d mirrors go untouched.
-    if (costs.gij(j - 1, j) != 1) {
-      const std::int64_t* tt = costs.tnse_tprefix_.data() + (j + 1) * stride;
-      const std::int64_t* td = costs.tnse_diag_.data();
-      const std::int64_t* dt = costs.delay_tprefix_.data() + (j + 1) * stride;
-      const std::int64_t* dd = costs.delay_diag_.data();
-      for (std::size_t m = 0; m <= j; ++m) {
-        ft[m] = tt[m] - td[m];
-        fd[m] = dt[m] - dd[m];
-      }
-    }
+    column.load(j);
     const std::int64_t* col_j = b_col + tri_col_at(0, j);  // b[k+1][j]
     for (std::size_t i = j; i-- > 0;) {
       governor_checkpoint("sched.dppo");
-      const std::int64_t gcd_ij = costs.gij(i, j);
       const std::int64_t* row_i = b_row + tri_at(n, i, i) - i;  // b[i][k]
       std::int64_t best = kInf;
-      if (gcd_ij == 1) {
-        const std::int64_t* w_row = costs.wsum_prefix_.data() + i * stride;
-        const std::int64_t w_base = w_row[j + 1];
-        for (std::size_t k = i; k < j; ++k) {
-          const std::int64_t total = row_i[k] + col_j[k + 1] + fw[k + 1] -
-                                     w_base + w_row[k + 1];
+      std::size_t best_k = i;
+      column.scan(i, [&](std::size_t k, std::int64_t cost) {
+        const std::int64_t total = row_i[k] + col_j[k + 1] + cost;
+        if constexpr (kTrackSplits) {
+          if (total < best) {
+            best = total;
+            best_k = k;
+          }
+        } else {
           best = std::min(best, total);
         }
-      } else {
-        const std::uint64_t inv = costs.gcd_inv_[tri_at(n, i, j)];
-        const auto div = static_cast<std::uint64_t>(gcd_ij);
-        const std::int64_t* t_row = costs.tnse_prefix_.data() + i * stride;
-        const std::int64_t* d_row = costs.delay_prefix_.data() + i * stride;
-        const std::int64_t t_base = t_row[j + 1];
-        const std::int64_t d_base = d_row[j + 1];
-        for (std::size_t k = i; k < j; ++k) {
-          const auto t = static_cast<std::uint64_t>(ft[k + 1] - t_base +
-                                                    t_row[k + 1]);
-          const std::int64_t d = fd[k + 1] - d_base + d_row[k + 1];
-          auto quot = static_cast<std::uint64_t>(
-              (static_cast<unsigned __int128>(inv) * t) >> 64);
-          if (t - quot * div >= div) ++quot;
-          const std::int64_t total = row_i[k] + col_j[k + 1] +
-                                     static_cast<std::int64_t>(quot) + d;
-          best = std::min(best, total);
-        }
-      }
+      });
       b_row[tri_at(n, i, j)] = best;
       b_col[tri_col_at(i, j)] = best;
+      if constexpr (kTrackSplits) {
+        split[tri_at(n, i, j)] = static_cast<std::uint32_t>(best_k);
+      }
       ++cells;
       split_candidates += static_cast<std::int64_t>(j - i);
     }
   }
   obs::count("sched.dppo.cells", cells);
   obs::count("sched.dppo.splits", split_candidates);
+
+  if constexpr (kTrackSplits) {
+    result->splits = SplitTable(n, split);
+    result->schedule = schedule_from_splits(g, q, order, result->splits);
+  }
   return n >= 2 ? b_row[tri_at(n, 0, n - 1)] : 0;
+}
+
+}  // namespace
+
+DppoResult dppo(const Graph& g, const Repetitions& q,
+                const std::vector<ActorId>& order, util::Arena* arena,
+                const SplitCosts* shared_costs) {
+  DppoResult result;
+  result.cost = fill<true>(g, q, order, arena, shared_costs, &result);
+  return result;
+}
+
+std::int64_t dppo_cost(const Graph& g, const Repetitions& q,
+                       const std::vector<ActorId>& order, util::Arena* arena,
+                       const SplitCosts* shared_costs) {
+  return fill<false>(g, q, order, arena, shared_costs, nullptr);
 }
 
 }  // namespace sdf

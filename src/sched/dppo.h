@@ -4,10 +4,12 @@
 // Given a lexical order (A_1..A_n), computes the order-optimal loop
 // hierarchy: minimize the sum over edges of max_tokens under the "one
 // buffer per edge" metric. O(n^2) table, O(n^3) time, O(1) split cost via
-// 2D prefix sums over edge weights. The tables live in a bump arena
-// (util/arena.h) as flat structure-of-arrays triangles; results are
-// byte-identical to the original container-based implementation (pinned
-// by tests/test_dp_differential.cpp).
+// 2D prefix sums over edge weights. One table fill serves dppo() and
+// dppo_cost(): j-outer, one SplitCosts::Column per column, with split
+// tracking compiled in only for dppo(). The cost triangles and the split
+// triangle live in a bump arena (util/arena.h) as flat tri_at arrays;
+// results are byte-identical to the original container-based
+// implementation (pinned by tests/test_dp_differential.cpp).
 #pragma once
 
 #include <cstdint>
@@ -33,9 +35,12 @@ struct DppoResult {
 /// cost(i,k,j) = sum over edges src in order[i..k], snk in order[k+1..j]
 /// of TNSE(e)/g_ij + delay(e), plus range-gcd and emptiness queries.
 ///
-/// With `arena` the prefix/gcd tables are carved from it (the per-compile
-/// fast path); without one they live on the heap — that mode backs the
-/// slabs pipeline/explore_cache shares between neighboring explore points.
+/// The slab is four row-major (n+1) x (n+1) prefix squares (TNSE, delay,
+/// their sum, edge count) and two tri_at triangles (g_ij and its
+/// reciprocal); bytes() counts exactly those. With `arena` they are
+/// carved from it (the per-compile fast path); without one they live on
+/// the heap — that mode backs the slabs pipeline/explore_cache shares
+/// between neighboring explore points.
 class SplitCosts {
  public:
   SplitCosts(const Graph& g, const Repetitions& q,
@@ -84,68 +89,67 @@ class SplitCosts {
            rect(delay_prefix_.data(), i, k, j);
   }
 
-  /// Hoisted split-cost pointers for one DP cell (i, j). rect()'s four
-  /// loads per k walk a column (stride n+1), the diagonal (stride n+2), a
-  /// row, and a constant; Slice rewrites the first two against transposed
-  /// and diagonal mirrors so every k-dependent load streams contiguously.
-  /// Same integer arithmetic, same values — only the memory layout moves.
-  struct Slice {
-    const std::int64_t* w_col;   ///< transposed wsum, column j+1
-    const std::int64_t* w_diag;  ///< wsum diagonal
-    const std::int64_t* w_row;   ///< wsum row i
-    std::int64_t w_base;         ///< wsum[i][j+1], cell-constant
-    const std::int64_t* t_col;
-    const std::int64_t* t_diag;
-    const std::int64_t* t_row;
-    std::int64_t t_base;
-    const std::int64_t* d_col;
-    const std::int64_t* d_diag;
-    const std::int64_t* d_row;
-    std::int64_t d_base;
-    std::int64_t gcd;       ///< g_ij for this cell
-    std::uint64_t gcd_inv;  ///< floor(2^64 / gcd), only set when gcd > 1
+  /// Split costs of one DP column, for the j-outer table fills of
+  /// dppo.cpp and sdppo.cpp. load(j) reads prefix column j+1 and the
+  /// prefix diagonal straight out of the row-major squares (O(n) strided
+  /// loads per column, O(n^2) in all) into fused column-minus-diagonal
+  /// scratch. scan() then costs every split of a cell (i, j) with three
+  /// streaming loads in the common g_ij == 1 case. Same integer arithmetic
+  /// as split_cost(), same values.
+  class Column {
+   public:
+    /// Carves the three (n+1)-long scratch columns from `arena`.
+    Column(const SplitCosts& costs, util::Arena& arena)
+        : costs_(costs),
+          w_(arena.alloc_array<std::int64_t>(costs.stride_)),
+          t_(arena.alloc_array<std::int64_t>(costs.stride_)),
+          d_(arena.alloc_array<std::int64_t>(costs.stride_)) {}
 
-    /// split_cost(i, k, j, gcd) with all cell-invariant work hoisted and
-    /// the division strength-reduced: t / gcd becomes a multiply-high by
-    /// the precomputed reciprocal plus one correcting subtract. With
-    /// inv = floor(2^64/d) and t in [0, 2^63), q0 = floor(inv*t / 2^64)
-    /// is floor(t/d) or one less (inv*t/2^64 > t/d - t/2^64 - ... >
-    /// t/d - 1), so a single remainder check restores the exact
-    /// truncating quotient — byte-identical to the idiv.
-    [[nodiscard]] std::int64_t cost(std::size_t k) const {
+    void load(std::size_t j);
+
+    /// Calls visit(k, cost(i, k, j)) for k = i .. j-1 in ascending order,
+    /// j the last loaded column. Division by g_ij > 1 is strength-reduced:
+    /// t / g becomes a multiply-high by the precomputed reciprocal
+    /// inv = floor(2^64/g) plus one correcting subtract. For t in
+    /// [0, 2^63) the product's high word is floor(t/g) or one less, so a
+    /// single remainder check restores the exact truncating quotient.
+    template <typename Visit>
+    void scan(std::size_t i, Visit&& visit) const {
+      const SplitCosts& c = costs_;
+      const std::size_t stride = c.stride_;
+      const std::int64_t gcd = c.gij(i, j_);
       if (gcd == 1) {
-        return w_col[k + 1] - w_base - w_diag[k + 1] + w_row[k + 1];
+        const std::int64_t* w_row = c.wsum_prefix_.data() + i * stride;
+        const std::int64_t w_base = w_row[j_ + 1];
+        for (std::size_t k = i; k < j_; ++k) {
+          visit(k, w_[k + 1] - w_base + w_row[k + 1]);
+        }
+        return;
       }
-      const auto t = static_cast<std::uint64_t>(
-          t_col[k + 1] - t_base - t_diag[k + 1] + t_row[k + 1]);
-      const std::int64_t d =
-          d_col[k + 1] - d_base - d_diag[k + 1] + d_row[k + 1];
+      const std::uint64_t inv = c.gcd_inv_[tri_at(c.n_, i, j_)];
       const auto div = static_cast<std::uint64_t>(gcd);
-      auto q = static_cast<std::uint64_t>(
-          (static_cast<unsigned __int128>(gcd_inv) * t) >> 64);
-      if (t - q * div >= div) ++q;
-      return static_cast<std::int64_t>(q) + d;
+      const std::int64_t* t_row = c.tnse_prefix_.data() + i * stride;
+      const std::int64_t* d_row = c.delay_prefix_.data() + i * stride;
+      const std::int64_t t_base = t_row[j_ + 1];
+      const std::int64_t d_base = d_row[j_ + 1];
+      for (std::size_t k = i; k < j_; ++k) {
+        const auto t =
+            static_cast<std::uint64_t>(t_[k + 1] - t_base + t_row[k + 1]);
+        const std::int64_t d = d_[k + 1] - d_base + d_row[k + 1];
+        auto quot = static_cast<std::uint64_t>(
+            (static_cast<unsigned __int128>(inv) * t) >> 64);
+        if (t - quot * div >= div) ++quot;
+        visit(k, static_cast<std::int64_t>(quot) + d);
+      }
     }
-  };
 
-  [[nodiscard]] Slice slice(std::size_t i, std::size_t j) const {
-    Slice s;
-    s.w_col = wsum_tprefix_.data() + (j + 1) * stride_;
-    s.w_diag = wsum_diag_.data();
-    s.w_row = wsum_prefix_.data() + i * stride_;
-    s.w_base = s.w_row[j + 1];
-    s.t_col = tnse_tprefix_.data() + (j + 1) * stride_;
-    s.t_diag = tnse_diag_.data();
-    s.t_row = tnse_prefix_.data() + i * stride_;
-    s.t_base = s.t_row[j + 1];
-    s.d_col = delay_tprefix_.data() + (j + 1) * stride_;
-    s.d_diag = delay_diag_.data();
-    s.d_row = delay_prefix_.data() + i * stride_;
-    s.d_base = s.d_row[j + 1];
-    s.gcd = gij(i, j);
-    s.gcd_inv = gcd_inv_[tri_at(n_, i, j)];
-    return s;
-  }
+   private:
+    const SplitCosts& costs_;
+    std::size_t j_ = 0;
+    std::int64_t* w_;  ///< w_[m] = wsum[m][j+1] - wsum[m][m]
+    std::int64_t* t_;  ///< the same for tnse, loaded only when needed
+    std::int64_t* d_;  ///< the same for delay
+  };
 
   [[nodiscard]] std::size_t size() const { return n_; }
 
@@ -153,21 +157,11 @@ class SplitCosts {
   /// governor's dp_mem budget (pipeline/explore_cache.h).
   [[nodiscard]] std::int64_t bytes() const {
     return static_cast<std::int64_t>(
-        (7 * stride_ * stride_ + 3 * stride_ + 2 * tri_cells(n_)) *
+        (4 * stride_ * stride_ + 2 * tri_cells(n_)) *
         sizeof(std::int64_t));
   }
 
  private:
-  // The estimate-only fills iterate j-outer and fuse column-minus-diagonal
-  // scratch arrays from the mirrors below once per column — they read the
-  // raw tables directly instead of going through slice().
-  friend std::int64_t dppo_cost(const Graph&, const Repetitions&,
-                                const std::vector<ActorId>&, util::Arena*,
-                                const SplitCosts*);
-  friend std::int64_t sdppo_estimate(const Graph&, const Repetitions&,
-                                     const std::vector<ActorId>&,
-                                     util::Arena*, const SplitCosts*);
-
   // Rectangle sum over pos(src) in [i, k], pos(snk) in [k+1, j] on a flat
   // (n+1) x (n+1) prefix square: prefix[a][b] = sum over edges with
   // pos(src) <= a-1 and pos(snk) <= b-1.
@@ -184,18 +178,9 @@ class SplitCosts {
   util::ArenaVector<std::int64_t> delay_prefix_;
   util::ArenaVector<std::int64_t> wsum_prefix_;  ///< tnse + delay combined
   util::ArenaVector<std::int64_t> count_prefix_;
-  // Transposed and diagonal mirrors of the three weight squares backing
-  // Slice: the DP k-loop reads a prefix column and the prefix diagonal,
-  // which in row-major layout stride by (n+1) and (n+2) elements.
-  util::ArenaVector<std::int64_t> tnse_tprefix_;
-  util::ArenaVector<std::int64_t> delay_tprefix_;
-  util::ArenaVector<std::int64_t> wsum_tprefix_;
-  util::ArenaVector<std::int64_t> tnse_diag_;
-  util::ArenaVector<std::int64_t> delay_diag_;
-  util::ArenaVector<std::int64_t> wsum_diag_;
   util::ArenaVector<std::int64_t> gcd_;  ///< upper triangle, tri_at order
   /// floor(2^64 / gcd_[c]) per triangle cell (0 where gcd == 1): the
-  /// 128-bit division is paid once here, not per slice() in the DP loop.
+  /// 128-bit division is paid once here, not per cell in the DP fills.
   util::ArenaVector<std::uint64_t> gcd_inv_;
 };
 
@@ -214,8 +199,8 @@ class SplitCosts {
                               util::Arena* arena = nullptr,
                               const SplitCosts* shared_costs = nullptr);
 
-/// Estimate-only DPPO: the same table fill as dppo() but without split
-/// bookkeeping or schedule reconstruction — just EQ 2's optimal cost.
+/// Estimate-only DPPO: the same table fill as dppo() with split tracking
+/// compiled out and no schedule reconstruction — just EQ 2's optimal cost.
 /// Identical governor checkpoints and telemetry, so swapping it in for a
 /// dppo() call whose schedule is discarded changes no observable
 /// behavior. This is the hot path of ordering searches that score many

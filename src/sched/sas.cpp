@@ -72,6 +72,9 @@ Schedule schedule_from_splits([[maybe_unused]] const Graph& g,
   if (order.empty()) {
     throw std::invalid_argument("schedule_from_splits: empty order");
   }
+  if (splits.size() != order.size()) {
+    throw std::logic_error("schedule_from_splits: split table size mismatch");
+  }
   // build(i, j, divisor): a schedule firing each x in order[i..j] exactly
   // q(x)/divisor times when executed once.
   auto build = [&](auto&& self, std::size_t i, std::size_t j,
@@ -81,7 +84,7 @@ Schedule schedule_from_splits([[maybe_unused]] const Graph& g,
           q[static_cast<std::size_t>(order[i])] / divisor;
       return Schedule::leaf(order[i], reps);
     }
-    const std::size_t k = splits.at[i][j];
+    const std::size_t k = splits.at(i, j);
     if (k < i || k >= j) {
       throw std::logic_error("schedule_from_splits: malformed split table");
     }

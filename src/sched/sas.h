@@ -5,9 +5,11 @@
 // SDPPO, the exact chain DP) then re-parenthesize it.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
+#include "sched/dp_tables.h"
 #include "sched/schedule.h"
 #include "sdf/graph.h"
 #include "sdf/repetitions.h"
@@ -39,11 +41,30 @@ namespace sdf {
     const Graph& g, const std::vector<ActorId>& order, std::size_t i,
     std::size_t k, std::size_t j);
 
-/// Binary split tree produced by the DP optimizers: splits[i][j] = k means
-/// subchain [i..j] is parenthesized as ([i..k])([k+1..j]).
-struct SplitTable {
-  /// splits[i][j], valid for i < j; lower triangle unused.
-  std::vector<std::vector<std::size_t>> at;
+/// Binary split tree produced by the DP optimizers: at(i, j) = k means
+/// subchain [i..j] is parenthesized as ([i..k])([k+1..j]). Stored the way
+/// the DPs fill it: one flat upper triangle in tri_at order
+/// (sched/dp_tables.h), 4 bytes per cell; the diagonal is unused.
+class SplitTable {
+ public:
+  SplitTable() = default;
+  /// All-zero table for an order of n actors.
+  explicit SplitTable(std::size_t n) : n_(n), k_(tri_cells(n), 0) {}
+  /// Copies a DP's tri_cells(n)-long split triangle.
+  SplitTable(std::size_t n, const std::uint32_t* tri)
+      : n_(n), k_(tri, tri + tri_cells(n)) {}
+
+  [[nodiscard]] std::size_t size() const { return n_; }
+  [[nodiscard]] std::uint32_t at(std::size_t i, std::size_t j) const {
+    return k_[tri_at(n_, i, j)];
+  }
+  [[nodiscard]] std::uint32_t& at(std::size_t i, std::size_t j) {
+    return k_[tri_at(n_, i, j)];
+  }
+
+ private:
+  std::size_t n_ = 0;
+  std::vector<std::uint32_t> k_;
 };
 
 /// Decides, per split (i, k, j), whether the subchain [i..j] may be factored

@@ -13,17 +13,25 @@
 
 namespace sdf {
 
-SdppoResult sdppo(const Graph& g, const Repetitions& q,
+namespace {
+
+// The one SDPPO table fill (EQ 5), with the cell order, tables and
+// governance of dppo.cpp's fill. Only the combine rule differs, and with
+// kTrackSplits the split choice: the lowest total wins, ties go to the
+// split with fewer crossing edges (those leave the halves fully
+// overlayable and avoid needless factoring), then to the first k. The
+// tie-break only picks which optimal k backs the schedule, never the
+// optimal value, so crossing-edge counts are computed only on ties, and
+// the incumbent's only once per incumbent.
+template <bool kTrackSplits>
+std::int64_t fill(const Graph& g, const Repetitions& q,
                   const std::vector<ActorId>& order, util::Arena* arena,
-                  const SplitCosts* shared_costs) {
+                  const SplitCosts* shared_costs, SdppoResult* result) {
   if (!is_topological_order(g, order)) {
     throw BadOrderError("sdppo: order is not a topological order");
   }
   const std::size_t n = order.size();
 
-  // Governance: tables are carved from the arena (chunk acquisitions
-  // charge the dp_mem budget), one deadline checkpoint per cell (see
-  // pipeline/governor.h). A trip degrades via pipeline/compile.cpp.
   util::Arena local_arena("sched.sdppo");
   util::Arena& a = arena != nullptr ? *arena : local_arena;
   const util::Arena::Scope dp_scope(a);
@@ -35,65 +43,81 @@ SdppoResult sdppo(const Graph& g, const Repetitions& q,
   const SplitCosts& costs = own_costs ? *own_costs : *shared_costs;
 
   constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
-  // SoA triangles, row- and column-major cost mirrors as in dppo().
   const std::size_t cells_total = tri_cells(n);
   std::int64_t* b_row = a.alloc_array<std::int64_t>(cells_total);
   std::int64_t* b_col = a.alloc_array<std::int64_t>(cells_total);
-  std::uint32_t* split = a.alloc_array<std::uint32_t>(cells_total);
-  std::fill_n(b_row, cells_total, 0);
-  std::fill_n(b_col, cells_total, 0);
-  std::fill_n(split, cells_total, 0);
+  std::uint32_t* split =
+      kTrackSplits ? a.alloc_array<std::uint32_t>(cells_total) : nullptr;
+  for (std::size_t i = 0; i < n; ++i) {
+    b_row[tri_at(n, i, i)] = 0;
+    b_col[tri_col_at(i, i)] = 0;
+    if constexpr (kTrackSplits) split[tri_at(n, i, i)] = 0;
+  }
+  SplitCosts::Column column(costs, a);
 
   std::int64_t cells = 0;
   std::int64_t split_candidates = 0;
-  for (std::size_t len = 2; len <= n; ++len) {
-    for (std::size_t i = 0; i + len <= n; ++i) {
-      const std::size_t j = i + len - 1;
+  for (std::size_t j = 1; j < n; ++j) {
+    column.load(j);
+    const std::int64_t* col_j = b_col + tri_col_at(0, j);  // b[k+1][j]
+    for (std::size_t i = j; i-- > 0;) {
       governor_checkpoint("sched.sdppo");
       ++cells;
-      split_candidates += static_cast<std::int64_t>(len) - 1;
-      const SplitCosts::Slice sc = costs.slice(i, j);
+      split_candidates += static_cast<std::int64_t>(j - i);
       const std::int64_t* row_i = b_row + tri_at(n, i, i) - i;  // b[i][k]
-      const std::int64_t* col_j = b_col + tri_col_at(0, j);     // b[k+1][j]
       std::int64_t best = kInf;
-      std::int64_t best_edges = kInf;
       std::size_t best_k = i;
-      for (std::size_t k = i; k < j; ++k) {
+      std::int64_t best_edges = -1;  // edge_count(i, best_k, j) once known
+      column.scan(i, [&](std::size_t k, std::int64_t cost) {
         // EQ 5: halves overlay each other; crossing buffers stay live
         // across both and cannot share with either.
-        const std::int64_t total =
-            std::max(row_i[k], col_j[k + 1]) + sc.cost(k);
-        // Tie-break toward splits with fewer crossing edges: they leave
-        // the halves fully overlayable and avoid needless factoring.
-        const std::int64_t edges = costs.edge_count(i, k, j);
-        if (total < best || (total == best && edges < best_edges)) {
-          best = total;
-          best_edges = edges;
-          best_k = k;
+        const std::int64_t total = std::max(row_i[k], col_j[k + 1]) + cost;
+        if constexpr (kTrackSplits) {
+          if (total < best) {
+            best = total;
+            best_k = k;
+            best_edges = -1;
+          } else if (total == best) {
+            if (best_edges < 0) best_edges = costs.edge_count(i, best_k, j);
+            const std::int64_t edges = costs.edge_count(i, k, j);
+            if (edges < best_edges) {
+              best_edges = edges;
+              best_k = k;
+            }
+          }
+        } else {
+          best = std::min(best, total);
         }
-      }
+      });
       b_row[tri_at(n, i, j)] = best;
       b_col[tri_col_at(i, j)] = best;
-      split[tri_at(n, i, j)] = static_cast<std::uint32_t>(best_k);
+      if constexpr (kTrackSplits) {
+        split[tri_at(n, i, j)] = static_cast<std::uint32_t>(best_k);
+      }
     }
   }
   obs::count("sched.sdppo.cells", cells);
   obs::count("sched.sdppo.splits", split_candidates);
 
-  SdppoResult result;
-  result.estimate = n >= 2 ? b_row[tri_at(n, 0, n - 1)] : 0;
-  result.splits.at.assign(n, std::vector<std::size_t>(n, 0));
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      result.splits.at[i][j] = split[tri_at(n, i, j)];
-    }
+  if constexpr (kTrackSplits) {
+    result->splits = SplitTable(n, split);
+    // Sec. 5.1 heuristic: factor only when the split has internal edges.
+    result->schedule = schedule_from_splits(
+        g, q, order, result->splits,
+        [&](std::size_t i, std::size_t k, std::size_t j) {
+          return costs.edge_count(i, k, j) > 0;
+        });
   }
-  // Sec. 5.1 heuristic: factor only when the split has internal edges.
-  result.schedule = schedule_from_splits(
-      g, q, order, result.splits,
-      [&](std::size_t i, std::size_t k, std::size_t j) {
-        return costs.edge_count(i, k, j) > 0;
-      });
+  return n >= 2 ? b_row[tri_at(n, 0, n - 1)] : 0;
+}
+
+}  // namespace
+
+SdppoResult sdppo(const Graph& g, const Repetitions& q,
+                  const std::vector<ActorId>& order, util::Arena* arena,
+                  const SplitCosts* shared_costs) {
+  SdppoResult result;
+  result.estimate = fill<true>(g, q, order, arena, shared_costs, &result);
   return result;
 }
 
@@ -101,100 +125,7 @@ std::int64_t sdppo_estimate(const Graph& g, const Repetitions& q,
                             const std::vector<ActorId>& order,
                             util::Arena* arena,
                             const SplitCosts* shared_costs) {
-  if (!is_topological_order(g, order)) {
-    throw BadOrderError("sdppo: order is not a topological order");
-  }
-  const std::size_t n = order.size();
-
-  util::Arena local_arena("sched.sdppo");
-  util::Arena& a = arena != nullptr ? *arena : local_arena;
-  const util::Arena::Scope dp_scope(a);
-
-  std::optional<SplitCosts> own_costs;
-  if (shared_costs == nullptr || shared_costs->size() != n) {
-    own_costs.emplace(g, q, order, &a);
-  }
-  const SplitCosts& costs = own_costs ? *own_costs : *shared_costs;
-
-  constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
-  // The same mirrored triangles as sdppo(), minus the split array and the
-  // crossing-edge tie-break: the tie-break only picks WHICH optimal k
-  // backs the schedule, never the optimal value, so EQ 5's estimate is
-  // unchanged while the inner loop drops a rectangle query. The fill is
-  // j-outer with per-column fused scratch, exactly as dppo_cost()
-  // (sched/dppo.cpp) — identical values, checkpoints and telemetry.
-  const std::size_t stride = n + 1;
-  const std::size_t cells_total = tri_cells(n);
-  std::int64_t* b_row = a.alloc_array<std::int64_t>(cells_total);
-  std::int64_t* b_col = a.alloc_array<std::int64_t>(cells_total);
-  for (std::size_t i = 0; i < n; ++i) {
-    b_row[tri_at(n, i, i)] = 0;
-    b_col[tri_col_at(i, i)] = 0;
-  }
-  std::int64_t* fw = a.alloc_array<std::int64_t>(stride);
-  std::int64_t* ft = a.alloc_array<std::int64_t>(stride);
-  std::int64_t* fd = a.alloc_array<std::int64_t>(stride);
-
-  std::int64_t cells = 0;
-  std::int64_t split_candidates = 0;
-  for (std::size_t j = 1; j < n; ++j) {
-    const std::int64_t* wt = costs.wsum_tprefix_.data() + (j + 1) * stride;
-    const std::int64_t* wd = costs.wsum_diag_.data();
-    for (std::size_t m = 0; m <= j; ++m) fw[m] = wt[m] - wd[m];
-    if (costs.gij(j - 1, j) != 1) {
-      const std::int64_t* tt = costs.tnse_tprefix_.data() + (j + 1) * stride;
-      const std::int64_t* td = costs.tnse_diag_.data();
-      const std::int64_t* dt = costs.delay_tprefix_.data() + (j + 1) * stride;
-      const std::int64_t* dd = costs.delay_diag_.data();
-      for (std::size_t m = 0; m <= j; ++m) {
-        ft[m] = tt[m] - td[m];
-        fd[m] = dt[m] - dd[m];
-      }
-    }
-    const std::int64_t* col_j = b_col + tri_col_at(0, j);  // b[k+1][j]
-    for (std::size_t i = j; i-- > 0;) {
-      governor_checkpoint("sched.sdppo");
-      ++cells;
-      split_candidates += static_cast<std::int64_t>(j - i);
-      const std::int64_t gcd_ij = costs.gij(i, j);
-      const std::int64_t* row_i = b_row + tri_at(n, i, i) - i;  // b[i][k]
-      std::int64_t best = kInf;
-      if (gcd_ij == 1) {
-        const std::int64_t* w_row = costs.wsum_prefix_.data() + i * stride;
-        const std::int64_t w_base = w_row[j + 1];
-        for (std::size_t k = i; k < j; ++k) {
-          // EQ 5: halves overlay each other; crossing buffers stay live
-          // across both and cannot share with either.
-          const std::int64_t total = std::max(row_i[k], col_j[k + 1]) +
-                                     fw[k + 1] - w_base + w_row[k + 1];
-          best = std::min(best, total);
-        }
-      } else {
-        const std::uint64_t inv = costs.gcd_inv_[tri_at(n, i, j)];
-        const auto div = static_cast<std::uint64_t>(gcd_ij);
-        const std::int64_t* t_row = costs.tnse_prefix_.data() + i * stride;
-        const std::int64_t* d_row = costs.delay_prefix_.data() + i * stride;
-        const std::int64_t t_base = t_row[j + 1];
-        const std::int64_t d_base = d_row[j + 1];
-        for (std::size_t k = i; k < j; ++k) {
-          const auto t = static_cast<std::uint64_t>(ft[k + 1] - t_base +
-                                                    t_row[k + 1]);
-          const std::int64_t d = fd[k + 1] - d_base + d_row[k + 1];
-          auto quot = static_cast<std::uint64_t>(
-              (static_cast<unsigned __int128>(inv) * t) >> 64);
-          if (t - quot * div >= div) ++quot;
-          const std::int64_t total = std::max(row_i[k], col_j[k + 1]) +
-                                     static_cast<std::int64_t>(quot) + d;
-          best = std::min(best, total);
-        }
-      }
-      b_row[tri_at(n, i, j)] = best;
-      b_col[tri_col_at(i, j)] = best;
-    }
-  }
-  obs::count("sched.sdppo.cells", cells);
-  obs::count("sched.sdppo.splits", split_candidates);
-  return n >= 2 ? b_row[tri_at(n, 0, n - 1)] : 0;
+  return fill<false>(g, q, order, arena, shared_costs, nullptr);
 }
 
 }  // namespace sdf

@@ -38,11 +38,12 @@ struct SdppoResult {
                                 util::Arena* arena = nullptr,
                                 const SplitCosts* shared_costs = nullptr);
 
-/// Estimate-only SDPPO: the same table fill as sdppo() but without split
-/// bookkeeping or schedule reconstruction — just EQ 5's optimal value,
-/// which the split tie-break never changes. Identical governor
-/// checkpoints and telemetry. This is the hot path of ordering searches
-/// that score many candidate orders (sched/rpmc.h).
+/// Estimate-only SDPPO: the same table fill as sdppo() with split tracking
+/// (and so the crossing-edge tie-break) compiled out and no schedule
+/// reconstruction — just EQ 5's optimal value, which the split tie-break
+/// never changes. Identical governor checkpoints and telemetry. This is
+/// the hot path of ordering searches that score many candidate orders
+/// (sched/rpmc.h).
 [[nodiscard]] std::int64_t sdppo_estimate(const Graph& g,
                                           const Repetitions& q,
                                           const std::vector<ActorId>& order,

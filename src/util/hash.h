@@ -3,13 +3,11 @@
 //   * fault injection (util/fault.cpp) hashes site names into the
 //     deterministic firing draw;
 //   * the explore memo cache (pipeline/explore_cache.cpp) keys shared
-//     DP split-cost slabs by a hash of the lexical ordering;
-//   * the consistent-hash ring (service/ring.cpp) places worker vnodes.
+//     DP split-cost slabs by a hash of the lexical ordering.
 //
 // FNV-1a is a non-cryptographic hash: cheap, endian-free, and stable
-// across platforms — exactly what a seeded fault draw, an in-process memo
-// key and a ring position need. It is NOT collision-resistant against
-// adversaries.
+// across platforms — exactly what a seeded fault draw and an in-process
+// memo key need. It is NOT collision-resistant against adversaries.
 //
 // Chaining: pass a previous hash as `seed` to extend it over more data,
 //   fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b)

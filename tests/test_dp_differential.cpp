@@ -14,14 +14,21 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "graphs/filterbank.h"
+#include "graphs/homogeneous.h"
+#include "graphs/random_sdf.h"
 #include "graphs/satellite.h"
+#include "obs/counters.h"
+#include "obs/trace.h"
 #include "pipeline/explore.h"
+#include "sched/apgan.h"
 #include "sched/chain_dp.h"
 #include "sched/dppo.h"
+#include "sched/rpmc.h"
 #include "sched/sas.h"
 #include "sched/sdppo.h"
 #include "sdf/analysis.h"
@@ -120,8 +127,7 @@ DppoResult dppo(const Graph& g, const Repetitions& q,
   const SplitCosts costs(g, q, order);
   std::vector<std::vector<std::int64_t>> b(
       n, std::vector<std::int64_t>(n, 0));
-  SplitTable splits;
-  splits.at.assign(n, std::vector<std::size_t>(n, 0));
+  SplitTable splits(n);
   for (std::size_t len = 2; len <= n; ++len) {
     for (std::size_t i = 0; i + len <= n; ++i) {
       const std::size_t j = i + len - 1;
@@ -136,7 +142,7 @@ DppoResult dppo(const Graph& g, const Repetitions& q,
         }
       }
       b[i][j] = best;
-      splits.at[i][j] = best_k;
+      splits.at(i, j) = best_k;
     }
   }
   DppoResult result;
@@ -151,14 +157,16 @@ DppoResult dppo(const Graph& g, const Repetitions& q,
 // tie-break, factoring only across splits with internal edges.
 // ---------------------------------------------------------------------
 
+// `edge_tiebreak = false` drops the crossing-edge rule (first minimum
+// wins), so a test can prove its graphs actually exercise the tie-break.
 SdppoResult sdppo(const Graph& g, const Repetitions& q,
-                  const std::vector<ActorId>& order) {
+                  const std::vector<ActorId>& order,
+                  bool edge_tiebreak = true) {
   const std::size_t n = order.size();
   const SplitCosts costs(g, q, order);
   std::vector<std::vector<std::int64_t>> b(
       n, std::vector<std::int64_t>(n, 0));
-  SplitTable splits;
-  splits.at.assign(n, std::vector<std::size_t>(n, 0));
+  SplitTable splits(n);
   for (std::size_t len = 2; len <= n; ++len) {
     for (std::size_t i = 0; i + len <= n; ++i) {
       const std::size_t j = i + len - 1;
@@ -169,14 +177,15 @@ SdppoResult sdppo(const Graph& g, const Repetitions& q,
         const std::int64_t total =
             std::max(b[i][k], b[k + 1][j]) + costs.cost(i, k, j);
         const std::int64_t edges = costs.edge_count(i, k, j);
-        if (total < best || (total == best && edges < best_edges)) {
+        if (total < best ||
+            (edge_tiebreak && total == best && edges < best_edges)) {
           best = total;
           best_edges = edges;
           best_k = k;
         }
       }
       b[i][j] = best;
-      splits.at[i][j] = best_k;
+      splits.at(i, j) = best_k;
     }
   }
   SdppoResult result;
@@ -318,10 +327,10 @@ std::vector<Graph> differential_graphs() {
 
 std::string splits_text(const SplitTable& s) {
   std::string out;
-  for (std::size_t i = 0; i < s.at.size(); ++i) {
-    for (std::size_t j = i + 1; j < s.at[i].size(); ++j) {
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    for (std::size_t j = i + 1; j < s.size(); ++j) {
       out += std::to_string(i) + "," + std::to_string(j) + "=" +
-             std::to_string(s.at[i][j]) + ";";
+             std::to_string(s.at(i, j)) + ";";
     }
   }
   return out;
@@ -329,7 +338,11 @@ std::string splits_text(const SplitTable& s) {
 
 class DpDifferential : public ::testing::Test {
  protected:
-  void TearDown() override { fault::clear(); }
+  void TearDown() override {
+    fault::clear();
+    obs::set_enabled(false);
+    obs::reset();
+  }
 };
 
 TEST_F(DpDifferential, SplitCostOracleMatchesNaivePrefixSums) {
@@ -402,6 +415,121 @@ TEST_F(DpDifferential, SdppoIsByteIdenticalToTheReference) {
           << g.name();
       EXPECT_EQ(got.schedule.to_string(g), want.schedule.to_string(g))
           << g.name();
+    }
+  }
+}
+
+/// Checks all four DP entry points on one (graph, order) against the
+/// reference: cost, split table and schedule text, in arena mode with and
+/// without a shared slab.
+void expect_dps_match_reference(const Graph& g, const Repetitions& q,
+                                const std::vector<ActorId>& order,
+                                const std::string& label) {
+  const DppoResult want_d = ref::dppo(g, q, order);
+  const SdppoResult want_s = ref::sdppo(g, q, order);
+  util::Arena arena("test.differential");
+  const SplitCosts slab(g, q, order);
+  for (const SplitCosts* shared : {static_cast<const SplitCosts*>(nullptr),
+                                   &slab}) {
+    const DppoResult got_d = dppo(g, q, order, &arena, shared);
+    EXPECT_EQ(got_d.cost, want_d.cost) << label;
+    EXPECT_EQ(splits_text(got_d.splits), splits_text(want_d.splits))
+        << label;
+    EXPECT_EQ(got_d.schedule.to_string(g), want_d.schedule.to_string(g))
+        << label;
+    EXPECT_EQ(dppo_cost(g, q, order, &arena, shared), want_d.cost) << label;
+
+    const SdppoResult got_s = sdppo(g, q, order, &arena, shared);
+    EXPECT_EQ(got_s.estimate, want_s.estimate) << label;
+    EXPECT_EQ(splits_text(got_s.splits), splits_text(want_s.splits))
+        << label;
+    EXPECT_EQ(got_s.schedule.to_string(g), want_s.schedule.to_string(g))
+        << label;
+    EXPECT_EQ(sdppo_estimate(g, q, order, &arena, shared), want_s.estimate)
+        << label;
+  }
+}
+
+TEST_F(DpDifferential, RandomGraphsAtBenchmarkScaleMatchTheReference) {
+  // The fig27_random / perfbench graph source at 40-120 actors, both rate
+  // modes, under the three orders the pipeline and tests use.
+  for (const RandomRateMode mode : {RandomRateMode::kBoundedRepetitions,
+                                    RandomRateMode::kCompoundingRates}) {
+    for (const int actors : {40, 80, 120}) {
+      std::mt19937 rng(static_cast<std::uint32_t>(1000 + actors) +
+                       (mode == RandomRateMode::kCompoundingRates ? 7u : 0u));
+      RandomSdfOptions options;
+      options.num_actors = actors;
+      options.rate_mode = mode;
+      const Graph g = random_sdf_graph(options, rng);
+      const Repetitions q = repetitions_vector(g);
+      const std::string label =
+          std::to_string(actors) + " actors, mode " +
+          std::to_string(static_cast<int>(mode)) + ", order ";
+      expect_dps_match_reference(g, q, topo(g), label + "topo");
+      expect_dps_match_reference(g, q, rpmc_multistart(g, q).lexorder,
+                                 label + "rpmc");
+      expect_dps_match_reference(g, q, apgan(g, q).lexorder,
+                                 label + "apgan");
+    }
+  }
+}
+
+TEST_F(DpDifferential, SdppoCrossingEdgeTieBreakMatchesTheReference) {
+  // Homogeneous meshes tie on many splits of different crossing-edge
+  // counts; fig2_graph is the paper's small example. The first-minimum
+  // reference must disagree on at least one split table, or the graphs
+  // would not exercise the tie-break at all.
+  std::vector<Graph> graphs;
+  graphs.push_back(testing::fig2_graph());
+  graphs.push_back(homogeneous_mesh(2, 4));
+  graphs.push_back(homogeneous_mesh(3, 5));
+  graphs.push_back(homogeneous_mesh(4, 8));
+  int exercised = 0;
+  for (const Graph& g : graphs) {
+    const Repetitions q = repetitions_vector(g);
+    for (const std::vector<ActorId>& order :
+         {topo(g), apgan(g, q).lexorder}) {
+      expect_dps_match_reference(g, q, order, g.name());
+      const SdppoResult with = ref::sdppo(g, q, order);
+      const SdppoResult without = ref::sdppo(g, q, order, false);
+      EXPECT_EQ(with.estimate, without.estimate) << g.name();
+      if (splits_text(with.splits) != splits_text(without.splits)) {
+        ++exercised;
+      }
+    }
+  }
+  EXPECT_GT(exercised, 0);
+}
+
+TEST_F(DpDifferential, CellAndSplitCountersCoverTheTriangle) {
+  // One cell per i < j and one split candidate per k in [i, j): the j-outer
+  // fill visits exactly the cells the length-major fill did.
+  obs::set_enabled(true);
+  for (const Graph& g : differential_graphs()) {
+    const Repetitions q = repetitions_vector(g);
+    const std::vector<ActorId> order = topo(g);
+    const auto n = static_cast<std::int64_t>(order.size());
+    const std::int64_t cells = n * (n - 1) / 2;
+    std::int64_t splits = 0;
+    for (std::int64_t len = 2; len <= n; ++len) {
+      splits += (n - len + 1) * (len - 1);
+    }
+    for (const char* dp : {"dppo", "sdppo"}) {
+      const std::string name = dp;
+      for (const bool full : {true, false}) {
+        obs::reset();
+        if (name == "dppo") {
+          full ? (void)dppo(g, q, order) : (void)dppo_cost(g, q, order);
+        } else {
+          full ? (void)sdppo(g, q, order)
+               : (void)sdppo_estimate(g, q, order);
+        }
+        EXPECT_EQ(obs::counter("sched." + name + ".cells"), cells)
+            << g.name() << " " << name << (full ? "" : " estimate");
+        EXPECT_EQ(obs::counter("sched." + name + ".splits"), splits)
+            << g.name() << " " << name << (full ? "" : " estimate");
+      }
     }
   }
 }

@@ -6,6 +6,7 @@
 #include <random>
 
 #include "graphs/cddat.h"
+#include "graphs/satellite.h"
 #include "sched/sas.h"
 #include "sched/simulator.h"
 #include "sdf/analysis.h"
@@ -21,8 +22,7 @@ std::int64_t brute_force_order_optimal(const Graph& g, const Repetitions& q,
                                        const std::vector<ActorId>& order) {
   const std::size_t n = order.size();
   std::int64_t best = std::numeric_limits<std::int64_t>::max();
-  SplitTable splits;
-  splits.at.assign(n, std::vector<std::size_t>(n, 0));
+  SplitTable splits(n);
 
   auto enumerate = [&](auto&& self, std::vector<std::pair<std::size_t,
                                                           std::size_t>>
@@ -41,7 +41,7 @@ std::int64_t brute_force_order_optimal(const Graph& g, const Repetitions& q,
     const auto [i, j] = open.back();
     open.pop_back();
     for (std::size_t k = i; k < j; ++k) {
-      splits.at[i][j] = k;
+      splits.at(i, j) = k;
       auto next = open;
       next.emplace_back(i, k);
       next.emplace_back(k + 1, j);
@@ -185,6 +185,30 @@ TEST(SplitCosts, PrefixSumsMatchDirectEnumeration) {
                   static_cast<std::int64_t>(crossing.size()));
       }
     }
+  }
+}
+
+TEST(SplitCosts, BytesMatchTheArenaSlab) {
+  // bytes() is what pipeline/explore_cache charges a cached slab against
+  // the dp_mem budget, so it must be the slab's exact footprint: built in
+  // a fresh arena, the slab plus the constructor's int32-per-actor
+  // position scratch is everything the arena hands out.
+  for (const Graph& g : {cd_to_dat(), satellite_receiver(),
+                         testing::random_consistent_graph(7, 31)}) {
+    const Repetitions q = repetitions_vector(g);
+    const auto order = *topological_sort(g);
+    util::Arena arena("test.split_costs");
+    const SplitCosts costs(g, q, order, &arena);
+    const auto n = static_cast<std::int64_t>(order.size());
+    EXPECT_EQ(costs.bytes(),
+              (4 * (n + 1) * (n + 1) + n * (n + 1)) *
+                  static_cast<std::int64_t>(sizeof(std::int64_t)))
+        << g.name();
+    EXPECT_EQ(arena.stats().bytes_in_use,
+              costs.bytes() +
+                  static_cast<std::int64_t>(g.num_actors() *
+                                            sizeof(std::int32_t)))
+        << g.name();
   }
 }
 

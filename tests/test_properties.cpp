@@ -170,12 +170,11 @@ TEST_P(PipelineProperties, DppoIsOrderOptimalAgainstRandomNestings) {
   const std::size_t n = order.size();
   std::uniform_int_distribution<std::size_t> pick;
   for (int trial = 0; trial < 20; ++trial) {
-    SplitTable splits;
-    splits.at.assign(n, std::vector<std::size_t>(n, 0));
+    SplitTable splits(n);
     // Random split per subrange (only reachable cells matter).
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = i + 1; j < n; ++j) {
-        splits.at[i][j] =
+        splits.at(i, j) =
             i + pick(rng, decltype(pick)::param_type(0, j - i - 1));
       }
     }

@@ -74,10 +74,9 @@ TEST(ScheduleFromSplits, FullyFactoredChain) {
   const Graph g = testing::chain({{1, 2}, {1, 1}});
   const Repetitions q = repetitions_vector(g);
   ASSERT_EQ(q, (Repetitions{2, 1, 1}));
-  SplitTable splits;
-  splits.at.assign(3, std::vector<std::size_t>(3, 0));
-  splits.at[0][2] = 0;  // split after x0
-  splits.at[1][2] = 1;
+  SplitTable splits(3);
+  splits.at(0, 2) = 0;  // split after x0
+  splits.at(1, 2) = 1;
   const Schedule s = schedule_from_splits(g, q, {0, 1, 2}, splits);
   EXPECT_TRUE(is_valid_schedule(g, q, s));
   EXPECT_EQ(s.to_string(g), "(2x0)(x1)(x2)");
@@ -88,9 +87,8 @@ TEST(ScheduleFromSplits, CoprimeRepetitionsStayFlat) {
   const Graph g = testing::two_actor(3, 2);
   const Repetitions q = repetitions_vector(g);
   ASSERT_EQ(q, (Repetitions{2, 3}));
-  SplitTable splits;
-  splits.at.assign(2, std::vector<std::size_t>(2, 0));
-  splits.at[0][1] = 0;
+  SplitTable splits(2);
+  splits.at(0, 1) = 0;
   const Schedule s = schedule_from_splits(g, q, {0, 1}, splits);
   EXPECT_EQ(s.to_string(g), "(2A)(3B)");
 }
@@ -102,9 +100,8 @@ TEST(ScheduleFromSplits, FactorsOutGcd) {
   const ActorId b = g.add_actor("B");
   g.add_edge(a, b, 2, 1);
   const Repetitions q{2, 4};
-  SplitTable splits;
-  splits.at.assign(2, std::vector<std::size_t>(2, 0));
-  splits.at[0][1] = 0;
+  SplitTable splits(2);
+  splits.at(0, 1) = 0;
   const Schedule s = schedule_from_splits(g, q, {a, b}, splits);
   EXPECT_EQ(s.to_string(g), "(2 (A)(2B))");
 }
@@ -115,9 +112,8 @@ TEST(ScheduleFromSplits, FactorPredicateSuppressesFactoring) {
   const ActorId b = g.add_actor("B");
   g.add_edge(a, b, 2, 1);
   const Repetitions q{2, 4};
-  SplitTable splits;
-  splits.at.assign(2, std::vector<std::size_t>(2, 0));
-  splits.at[0][1] = 0;
+  SplitTable splits(2);
+  splits.at(0, 1) = 0;
   const Schedule s = schedule_from_splits(
       g, q, {a, b}, splits,
       [](std::size_t, std::size_t, std::size_t) { return false; });
@@ -127,9 +123,12 @@ TEST(ScheduleFromSplits, FactorPredicateSuppressesFactoring) {
 TEST(ScheduleFromSplits, MalformedSplitTableThrows) {
   const Graph g = testing::two_actor(1, 1);
   const Repetitions q{1, 1};
-  SplitTable splits;
-  splits.at.assign(2, std::vector<std::size_t>(2, 5));  // k out of range
+  SplitTable splits(2);
+  splits.at(0, 1) = 5;  // k out of range
   EXPECT_THROW(schedule_from_splits(g, q, {0, 1}, splits), std::logic_error);
+  // A table sized for another order is rejected before it is indexed.
+  EXPECT_THROW(schedule_from_splits(g, q, {0, 1}, SplitTable(1)),
+               std::logic_error);
 }
 
 TEST(BufmemNonshared, MatchesSimulator) {
