@@ -26,6 +26,13 @@
 //     divergence-checked but excluded from the gated geomean;
 //   - the full-trio geometric-mean speedup over all rows stays >= 1.4x.
 //
+// APGAN rows time the incremental merge loop (sched/apgan.cpp) against
+// the frozen textbook loop (apgan_baseline.h) on the Table 1 systems (one
+// row, all 19 per iteration) and on seeded random graphs of 200, 400 and
+// 800 actors in both rate modes. A lexical order or schedule text that
+// differs counts as a divergence; apgan_speedup_800 (the geomean of the
+// two 800-actor rows) is gated >= 4x by the same CI job.
+//
 // Configure with SDFMEM_BENCH_REPEAT (timed iterations per workload) and
 // SDFMEM_BENCH_JSON (trajectory file with per-workload rows).
 #include <algorithm>
@@ -34,12 +41,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
+#include "apgan_baseline.h"
 #include "bench_util.h"
 #include "dp_baseline.h"
+#include "graphs/random_sdf.h"
 #include "graphs/satellite.h"
+#include "sched/apgan.h"
 #include "sched/chain_dp.h"
 #include "sched/dppo.h"
 #include "sched/sdppo.h"
@@ -107,6 +118,104 @@ std::int64_t score_arena(const Graph& g, const Repetitions& q,
                          const std::vector<ActorId>& order, util::Arena& a,
                          const SplitCosts& slab) {
   return sdppo_estimate(g, q, order, &a, &slab);
+}
+
+/// One APGAN row: apgan() against the frozen baseline on `graphs`. One
+/// iteration runs every graph once per side, sides alternating, and each
+/// side reports its best iteration. Iterations scale down with the
+/// largest graph, so the 800-actor rows (about 0.1 s per baseline call)
+/// stay a few seconds at SDFMEM_BENCH_REPEAT=5000. Returns the speedup,
+/// or 0 without timing when any graph's lexical order or schedule text
+/// differs between the two.
+double apgan_row(const std::string& name, const std::vector<Graph>& graphs,
+                 int repeat, obs::Json& rows) {
+  std::vector<Repetitions> qs;
+  std::size_t actors = 0;
+  for (const Graph& g : graphs) {
+    qs.push_back(repetitions_vector(g));
+    const ApganResult want = bench::baseline::apgan(g, qs.back());
+    const ApganResult got = apgan(g, qs.back());
+    if (got.lexorder != want.lexorder ||
+        got.schedule.to_string(g) != want.schedule.to_string(g)) {
+      std::fprintf(stderr,
+                   "DIVERGENCE on %s: baseline and incremental APGAN "
+                   "disagree\n",
+                   g.name().c_str());
+      return 0.0;
+    }
+    actors = std::max(actors, g.num_actors());
+  }
+  const int iterations = std::max(3, repeat / static_cast<int>(actors));
+  std::int64_t baseline_best = std::numeric_limits<std::int64_t>::max();
+  std::int64_t apgan_best = baseline_best;
+  std::size_t sink = 0;
+  for (int it = 0; it < iterations; ++it) {
+    const std::int64_t baseline_start = now_ns();
+    for (std::size_t i = 0; i < graphs.size(); ++i) {
+      sink += bench::baseline::apgan(graphs[i], qs[i]).lexorder.size();
+    }
+    baseline_best = std::min(baseline_best, now_ns() - baseline_start);
+    const std::int64_t apgan_start = now_ns();
+    for (std::size_t i = 0; i < graphs.size(); ++i) {
+      sink += apgan(graphs[i], qs[i]).lexorder.size();
+    }
+    apgan_best = std::min(apgan_best, now_ns() - apgan_start);
+  }
+  if (sink == 42) std::printf(" ");  // keep `sink` observable
+  const double speedup = static_cast<double>(baseline_best) /
+                         static_cast<double>(apgan_best);
+  std::printf("%-22s %6zu | %10.3fms %10.3fms %7.2fx\n", name.c_str(),
+              actors, static_cast<double>(baseline_best) / 1e6,
+              static_cast<double>(apgan_best) / 1e6, speedup);
+  obs::Json r = obs::Json::object();
+  r["system"] = name;
+  r["mode"] = "apgan";
+  r["actors"] = static_cast<std::int64_t>(actors);
+  r["baseline_ns_per_iter"] = static_cast<double>(baseline_best);
+  r["apgan_ns_per_iter"] = static_cast<double>(apgan_best);
+  r["speedup"] = speedup;
+  rows.push_back(std::move(r));
+  return speedup;
+}
+
+/// The APGAN rows: Table 1 (all 19 systems per iteration) and one seeded
+/// random graph per size and rate mode. Returns the number of divergent
+/// rows; `speedup_800` is the geomean of the two 800-actor rows.
+int run_apgan_rows(int repeat, obs::Json& rows, double& speedup_800) {
+  std::printf("\nAPGAN: incremental merge loop vs frozen textbook loop\n");
+  std::printf("%-22s %6s | %12s %12s %8s\n", "graphs", "actors",
+              "baseline", "apgan", "speedup");
+  int divergences = 0;
+  if (apgan_row("table1", bench::table1_systems(), repeat, rows) == 0.0) {
+    ++divergences;
+  }
+  double log_speedup_800 = 0.0;
+  for (const int actors : {200, 400, 800}) {
+    for (const RandomRateMode mode : {RandomRateMode::kBoundedRepetitions,
+                                      RandomRateMode::kCompoundingRates}) {
+      const bool bounded = mode == RandomRateMode::kBoundedRepetitions;
+      RandomSdfOptions options;
+      options.num_actors = actors;
+      options.rate_mode = mode;
+      std::mt19937 rng(static_cast<std::uint32_t>(actors) + (bounded ? 0 : 1));
+      std::vector<Graph> graphs;
+      graphs.push_back(random_sdf_graph(options, rng));
+      const double speedup = apgan_row(
+          "random" + std::to_string(actors) +
+              (bounded ? "_bounded" : "_compounding"),
+          graphs, repeat, rows);
+      if (speedup == 0.0) {
+        ++divergences;
+      } else if (actors == 800) {
+        log_speedup_800 += std::log(speedup) / 2;
+      }
+    }
+  }
+  speedup_800 = divergences == 0 ? std::exp(log_speedup_800) : 0.0;
+  std::printf("APGAN speedup at 800 actors (geomean of both modes): %.2fx   "
+              "(gated >= 4x)\n",
+              speedup_800);
+  return divergences;
 }
 
 struct Row {
@@ -304,12 +413,18 @@ int run() {
       est_geomean, est_min_speedup, full_geomean,
       static_cast<long long>(steady_chunk_allocs_total));
 
+  obs::Json apgan_rows = obs::Json::array();
+  double apgan_speedup_800 = 0.0;
+  divergences += run_apgan_rows(repeat, apgan_rows, apgan_speedup_800);
+
   if (traj.active()) {
     traj.results()["rows"] = std::move(rows);
     traj.results()["estimate_geomean_speedup"] = est_geomean;
     traj.results()["estimate_min_speedup"] = est_min_speedup;
     traj.results()["full_geomean_speedup"] = full_geomean;
     traj.results()["steady_chunk_allocs_total"] = steady_chunk_allocs_total;
+    traj.results()["apgan_rows"] = std::move(apgan_rows);
+    traj.results()["apgan_speedup_800"] = apgan_speedup_800;
     traj.results()["divergences"] =
         static_cast<std::int64_t>(divergences);
   }

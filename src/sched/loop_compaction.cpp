@@ -81,12 +81,18 @@ CompactionResult compact_firing_sequence(const std::vector<ActorId>& seq,
         body.set_count(reps);
         return body;
       }
-      return Schedule::loop(reps, {std::move(body)});
+      // Bodies are built by move: an initializer_list would copy the
+      // subtrees.
+      std::vector<Schedule> inner;
+      inner.push_back(std::move(body));
+      return Schedule::loop(reps, std::move(inner));
     }
     const auto k = i + static_cast<std::size_t>(split[i][j]);
-    Schedule left = self(self, i, k);
-    Schedule right = self(self, k + 1, j);
-    return Schedule::sequence({std::move(left), std::move(right)});
+    std::vector<Schedule> halves;
+    halves.reserve(2);
+    halves.push_back(self(self, i, k));
+    halves.push_back(self(self, k + 1, j));
+    return Schedule::sequence(std::move(halves));
   };
   result.schedule = build(build, 0, n - 1).normalized();
   result.appearances = result.schedule.num_leaves();
