@@ -10,6 +10,15 @@
 // triangle live in a bump arena (util/arena.h) as flat tri_at arrays;
 // results are byte-identical to the original container-based
 // implementation (pinned by tests/test_dp_differential.cpp).
+//
+// On graphs of at least 256 actors (dp_fill::kPipelineMinActors) the
+// fill is column-pipelined across the caller and a process-wide helper
+// pool (sched/dp_fill.h): workers claim columns in ascending order, and
+// cell (i, j) with i <= j-2 waits until column j-1 has published row i,
+// which by induction means every earlier column holds row i. Each cell's
+// k-scan is unchanged, so costs, splits, schedules and counters are the
+// serial fill's. Below the threshold, or when called from a pool worker,
+// the fill is serial.
 #pragma once
 
 #include <cstdint>
@@ -95,15 +104,34 @@ class SplitCosts {
   /// loads per column, O(n^2) in all) into fused column-minus-diagonal
   /// scratch. scan() then costs every split of a cell (i, j) with three
   /// streaming loads in the common g_ij == 1 case. Same integer arithmetic
-  /// as split_cost(), same values.
+  /// as split_cost(), same values. A Column copies every pointer and
+  /// stride it reads, so the workers of a pipelined fill (sched/dp_fill.h)
+  /// each scan from their own Column and share no line of it.
   class Column {
    public:
-    /// Carves the three (n+1)-long scratch columns from `arena`.
+    /// Words of scratch one Column needs: three (n+1)-long columns.
+    [[nodiscard]] static std::size_t scratch_words(const SplitCosts& costs) {
+      return 3 * costs.stride_;
+    }
+
+    /// Carves the scratch columns from `arena`.
     Column(const SplitCosts& costs, util::Arena& arena)
-        : costs_(costs),
-          w_(arena.alloc_array<std::int64_t>(costs.stride_)),
-          t_(arena.alloc_array<std::int64_t>(costs.stride_)),
-          d_(arena.alloc_array<std::int64_t>(costs.stride_)) {}
+        : Column(costs,
+                 arena.alloc_array<std::int64_t>(scratch_words(costs))) {}
+
+    /// Uses `scratch` (scratch_words(costs) words) for the columns.
+    Column(const SplitCosts& costs, std::int64_t* scratch)
+        : n_(costs.n_),
+          stride_(costs.stride_),
+          wsum_(costs.wsum_prefix_.data()),
+          tnse_(costs.tnse_prefix_.data()),
+          delay_(costs.delay_prefix_.data()),
+          count_(costs.count_prefix_.data()),
+          gcd_(costs.gcd_.data()),
+          gcd_inv_(costs.gcd_inv_.data()),
+          w_(scratch),
+          t_(scratch + stride_),
+          d_(scratch + 2 * stride_) {}
 
     void load(std::size_t j);
 
@@ -115,21 +143,21 @@ class SplitCosts {
     /// single remainder check restores the exact truncating quotient.
     template <typename Visit>
     void scan(std::size_t i, Visit&& visit) const {
-      const SplitCosts& c = costs_;
-      const std::size_t stride = c.stride_;
-      const std::int64_t gcd = c.gij(i, j_);
+      const std::size_t stride = stride_;
+      const std::size_t cell = tri_at(n_, i, j_);
+      const std::int64_t gcd = gcd_[cell];
       if (gcd == 1) {
-        const std::int64_t* w_row = c.wsum_prefix_.data() + i * stride;
+        const std::int64_t* w_row = wsum_ + i * stride;
         const std::int64_t w_base = w_row[j_ + 1];
         for (std::size_t k = i; k < j_; ++k) {
           visit(k, w_[k + 1] - w_base + w_row[k + 1]);
         }
         return;
       }
-      const std::uint64_t inv = c.gcd_inv_[tri_at(c.n_, i, j_)];
+      const std::uint64_t inv = gcd_inv_[cell];
       const auto div = static_cast<std::uint64_t>(gcd);
-      const std::int64_t* t_row = c.tnse_prefix_.data() + i * stride;
-      const std::int64_t* d_row = c.delay_prefix_.data() + i * stride;
+      const std::int64_t* t_row = tnse_ + i * stride;
+      const std::int64_t* d_row = delay_ + i * stride;
       const std::int64_t t_base = t_row[j_ + 1];
       const std::int64_t d_base = d_row[j_ + 1];
       for (std::size_t k = i; k < j_; ++k) {
@@ -143,8 +171,23 @@ class SplitCosts {
       }
     }
 
+    /// edge_count(i, k, j) for the last loaded column j.
+    [[nodiscard]] std::int64_t edge_count(std::size_t i,
+                                          std::size_t k) const {
+      const std::int64_t* hi = count_ + (k + 1) * stride_;
+      const std::int64_t* lo = count_ + i * stride_;
+      return hi[j_ + 1] - lo[j_ + 1] - hi[k + 1] + lo[k + 1];
+    }
+
    private:
-    const SplitCosts& costs_;
+    std::size_t n_;
+    std::size_t stride_;
+    const std::int64_t* wsum_;
+    const std::int64_t* tnse_;
+    const std::int64_t* delay_;
+    const std::int64_t* count_;
+    const std::int64_t* gcd_;
+    const std::uint64_t* gcd_inv_;
     std::size_t j_ = 0;
     std::int64_t* w_;  ///< w_[m] = wsum[m][j+1] - wsum[m][m]
     std::int64_t* t_;  ///< the same for tnse, loaded only when needed

@@ -7,6 +7,7 @@
 
 #include "obs/counters.h"
 #include "pipeline/governor.h"
+#include "sched/dp_fill.h"
 #include "sched/dppo.h"
 #include "sdf/analysis.h"
 #include "util/status.h"
@@ -16,13 +17,13 @@ namespace sdf {
 namespace {
 
 // The one SDPPO table fill (EQ 5), with the cell order, tables and
-// governance of dppo.cpp's fill. Only the combine rule differs, and with
-// kTrackSplits the split choice: the lowest total wins, ties go to the
-// split with fewer crossing edges (those leave the halves fully
-// overlayable and avoid needless factoring), then to the first k. The
-// tie-break only picks which optimal k backs the schedule, never the
-// optimal value, so crossing-edge counts are computed only on ties, and
-// the incumbent's only once per incumbent.
+// governance of dppo.cpp's fill (dp_fill::fill_columns). Only the combine
+// rule differs, and with kTrackSplits the split choice: the lowest total
+// wins, ties go to the split with fewer crossing edges (those leave the
+// halves fully overlayable and avoid needless factoring), then to the
+// first k. The tie-break only picks which optimal k backs the schedule,
+// never the optimal value, so crossing-edge counts are computed only on
+// ties, and the incumbent's only once per incumbent.
 template <bool kTrackSplits>
 std::int64_t fill(const Graph& g, const Repetitions& q,
                   const std::vector<ActorId>& order, util::Arena* arena,
@@ -53,51 +54,46 @@ std::int64_t fill(const Graph& g, const Repetitions& q,
     b_col[tri_col_at(i, i)] = 0;
     if constexpr (kTrackSplits) split[tri_at(n, i, i)] = 0;
   }
-  SplitCosts::Column column(costs, a);
 
-  std::int64_t cells = 0;
-  std::int64_t split_candidates = 0;
-  for (std::size_t j = 1; j < n; ++j) {
-    column.load(j);
-    const std::int64_t* col_j = b_col + tri_col_at(0, j);  // b[k+1][j]
-    for (std::size_t i = j; i-- > 0;) {
-      governor_checkpoint("sched.sdppo");
-      ++cells;
-      split_candidates += static_cast<std::int64_t>(j - i);
-      const std::int64_t* row_i = b_row + tri_at(n, i, i) - i;  // b[i][k]
-      std::int64_t best = kInf;
-      std::size_t best_k = i;
-      std::int64_t best_edges = -1;  // edge_count(i, best_k, j) once known
-      column.scan(i, [&](std::size_t k, std::int64_t cost) {
-        // EQ 5: halves overlay each other; crossing buffers stay live
-        // across both and cannot share with either.
-        const std::int64_t total = std::max(row_i[k], col_j[k + 1]) + cost;
-        if constexpr (kTrackSplits) {
-          if (total < best) {
-            best = total;
-            best_k = k;
-            best_edges = -1;
-          } else if (total == best) {
-            if (best_edges < 0) best_edges = costs.edge_count(i, best_k, j);
-            const std::int64_t edges = costs.edge_count(i, k, j);
-            if (edges < best_edges) {
-              best_edges = edges;
-              best_k = k;
-            }
-          }
-        } else {
-          best = std::min(best, total);
-        }
-      });
-      b_row[tri_at(n, i, j)] = best;
-      b_col[tri_col_at(i, j)] = best;
+  const auto cell = [n, b_row, b_col, split](
+                        const SplitCosts::Column& column, std::size_t i,
+                        std::size_t j) {
+    const std::int64_t* row_i = b_row + tri_at(n, i, i) - i;  // b[i][k]
+    const std::int64_t* col_j = b_col + tri_col_at(0, j);     // b[k+1][j]
+    std::int64_t best = kInf;
+    std::size_t best_k = i;
+    std::int64_t best_edges = -1;  // edge_count(i, best_k, j) once known
+    column.scan(i, [&](std::size_t k, std::int64_t cost) {
+      // EQ 5: halves overlay each other; crossing buffers stay live
+      // across both and cannot share with either.
+      const std::int64_t total = std::max(row_i[k], col_j[k + 1]) + cost;
       if constexpr (kTrackSplits) {
-        split[tri_at(n, i, j)] = static_cast<std::uint32_t>(best_k);
+        if (total < best) {
+          best = total;
+          best_k = k;
+          best_edges = -1;
+        } else if (total == best) {
+          if (best_edges < 0) best_edges = column.edge_count(i, best_k);
+          const std::int64_t edges = column.edge_count(i, k);
+          if (edges < best_edges) {
+            best_edges = edges;
+            best_k = k;
+          }
+        }
+      } else {
+        best = std::min(best, total);
       }
+    });
+    b_row[tri_at(n, i, j)] = best;
+    b_col[tri_col_at(i, j)] = best;
+    if constexpr (kTrackSplits) {
+      split[tri_at(n, i, j)] = static_cast<std::uint32_t>(best_k);
     }
-  }
-  obs::count("sched.sdppo.cells", cells);
-  obs::count("sched.sdppo.splits", split_candidates);
+  };
+  const dp_fill::Counts counts =
+      dp_fill::fill_columns(costs, a, "sched.sdppo", cell);
+  obs::count("sched.sdppo.cells", counts.cells);
+  obs::count("sched.sdppo.splits", counts.splits);
 
   if constexpr (kTrackSplits) {
     result->splits = SplitTable(n, split);

@@ -7,6 +7,13 @@
 // when the split has internal (crossing) edges; otherwise factoring can only
 // destroy sharing between disjoint input/output buffers (Fig. 7) and is
 // skipped.
+//
+// The table fill is DPPO's (sched/dppo.h): j-outer, bottom-up per column,
+// and column-pipelined on graphs of at least 256 actors
+// (dp_fill::kPipelineMinActors), where cell (i, j) with i <= j-2 waits
+// until column j-1 has published row i. The k-scan and its tie-break are
+// per cell, so the pipelined tables are byte-identical to a serial
+// fill's.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,7 @@
 #include "util/arena.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "obs/counters.h"
 #include "obs/trace.h"
@@ -50,7 +51,10 @@ std::size_t Arena::checked_bytes(std::size_t n, std::size_t elem) {
 
 void* Arena::allocate_in(Chunk& chunk, std::size_t bytes,
                          std::size_t align) noexcept {
-  const std::size_t offset = align_up(chunk.used, align);
+  // Align the address, not just the offset: a chunk base is only
+  // max_align_t-aligned, and callers ask for cache-line alignment.
+  const auto base = reinterpret_cast<std::uintptr_t>(chunk.data.get());
+  const std::size_t offset = align_up(base + chunk.used, align) - base;
   if (offset + bytes > chunk.size || offset + bytes < offset) return nullptr;
   chunk.used = offset + bytes;
   return chunk.data.get() + offset;

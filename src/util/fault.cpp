@@ -71,17 +71,19 @@ std::int64_t fire_at(const Config& c, std::string_view site,
                                        static_cast<std::uint64_t>(window));
 }
 
-/// Innermost Context frame for this thread; counters live here so firing
-/// depends only on the logical task, never on worker interleaving.
-struct ContextFrame {
-  std::uint64_t key = 0;
-  std::map<std::string, std::int64_t, std::less<>> checks;
-  ContextFrame* parent = nullptr;
-};
-
 thread_local ContextFrame* t_context = nullptr;
 
 }  // namespace
+
+/// Innermost Context frame for this thread; counters live here so firing
+/// depends only on the logical task, never on worker interleaving. `mu`
+/// guards `checks` for helpers that adopted the frame.
+struct ContextFrame {
+  std::uint64_t key = 0;
+  std::mutex mu;
+  std::map<std::string, std::int64_t, std::less<>> checks;
+  ContextFrame* parent = nullptr;
+};
 
 std::span<const std::string_view> known_sites() { return kSites; }
 
@@ -158,9 +160,10 @@ bool should_fail(std::string_view site) {
 
   std::int64_t check = 0;
   std::uint64_t context_key = 0;
-  if (t_context != nullptr) {
-    context_key = t_context->key;
-    check = ++t_context->checks[std::string(site)];
+  if (ContextFrame* frame = t_context; frame != nullptr) {
+    context_key = frame->key;
+    const std::lock_guard<std::mutex> lock(frame->mu);
+    check = ++frame->checks[std::string(site)];
   } else {
     const std::lock_guard<std::mutex> lock(c.global_mu);
     check = ++c.global_checks[std::string(site)];
@@ -190,5 +193,14 @@ Context::~Context() {
   t_context = frame->parent;
   delete frame;
 }
+
+ContextFrame* current_context() noexcept { return t_context; }
+
+AdoptContext::AdoptContext(ContextFrame* frame) noexcept
+    : previous_(t_context) {
+  t_context = frame;
+}
+
+AdoptContext::~AdoptContext() { t_context = previous_; }
 
 }  // namespace sdf::fault

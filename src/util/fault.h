@@ -18,6 +18,9 @@
 // depends only on (spec, seed, site, 7) — never on how tasks interleave
 // across workers. Checks outside any context share one global context
 // (key 0), which is deterministic for serial code paths like the CLI.
+// Helper threads that run part of one logical task (the pipelined DP fill,
+// sched/dppo.h) install that task's context with AdoptContext, so every
+// check of the task still counts in one place and a site fires once.
 //
 // Injection points are a closed, compile-time list (known_sites()) so the
 // fault-matrix test can prove every one of them is forced by some test.
@@ -79,6 +82,28 @@ class Context {
 
   Context(const Context&) = delete;
   Context& operator=(const Context&) = delete;
+};
+
+/// Opaque handle to a thread's innermost Context.
+struct ContextFrame;
+
+/// The calling thread's innermost Context; nullptr means the global one.
+[[nodiscard]] ContextFrame* current_context() noexcept;
+
+/// Makes `frame` (from current_context() on another thread) the innermost
+/// context of this thread for the guard's lifetime, so a helper's checks
+/// count in the context of the task it helps. The frame's Context must
+/// outlive the guard; its counters are shared under a lock.
+class AdoptContext {
+ public:
+  explicit AdoptContext(ContextFrame* frame) noexcept;
+  ~AdoptContext();
+
+  AdoptContext(const AdoptContext&) = delete;
+  AdoptContext& operator=(const AdoptContext&) = delete;
+
+ private:
+  ContextFrame* previous_;
 };
 
 }  // namespace sdf::fault

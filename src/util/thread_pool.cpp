@@ -1,5 +1,6 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <system_error>
 
@@ -8,6 +9,18 @@
 #include "util/fault.h"
 
 namespace sdf::util {
+
+namespace {
+
+/// Set for the lifetime of every pool worker thread.
+thread_local bool t_pool_worker = false;
+
+/// Polls a TaskGroup makes before it blocks: a few microseconds of pause
+/// steps, enough to catch a helper that finishes its last DP column
+/// without the caller giving up its core.
+constexpr int kGroupSpins = 256;
+
+}  // namespace
 
 ThreadPool::ThreadPool(int threads) {
   const int n = threads < 1 ? 1 : threads;
@@ -51,6 +64,10 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::submit(std::function<void()> task) {
+  enqueue(Task{std::move(task), nullptr});
+}
+
+void ThreadPool::enqueue(Task task) {
   const std::size_t slot = next_.fetch_add(1) % workers_.size();
   pending_.fetch_add(1);
   {
@@ -65,7 +82,7 @@ void ThreadPool::submit(std::function<void()> task) {
 }
 
 bool ThreadPool::try_run_one(std::size_t self) {
-  std::function<void()> task;
+  Task task;
   // Own queue first, newest task (LIFO keeps the cache warm) ...
   {
     Worker& own = *workers_[self];
@@ -76,8 +93,8 @@ bool ThreadPool::try_run_one(std::size_t self) {
     }
   }
   // ... then steal the oldest task from a sibling.
-  if (!task) {
-    for (std::size_t k = 1; k < workers_.size() && !task; ++k) {
+  if (!task.fn) {
+    for (std::size_t k = 1; k < workers_.size() && !task.fn; ++k) {
       Worker& victim = *workers_[(self + k) % workers_.size()];
       const std::lock_guard<std::mutex> lock(victim.mu);
       if (!victim.tasks.empty()) {
@@ -87,18 +104,43 @@ bool ThreadPool::try_run_one(std::size_t self) {
       }
     }
   }
-  if (!task) return false;
+  if (!task.fn) return false;
   queued_.fetch_sub(1);
-  task();
+  run_task(task);
+  return true;
+}
+
+void ThreadPool::run_task(Task& task) {
+  task.fn();
   executed_.fetch_add(1, std::memory_order_relaxed);
+  if (task.group != nullptr) task.group->finish();
   if (pending_.fetch_sub(1) == 1) {
     const std::lock_guard<std::mutex> lock(idle_mu_);
     done_cv_.notify_all();
   }
-  return true;
+}
+
+void ThreadPool::run_unstarted(TaskGroup& group) {
+  for (const std::unique_ptr<Worker>& worker : workers_) {
+    while (true) {
+      Task task;
+      {
+        const std::lock_guard<std::mutex> lock(worker->mu);
+        const auto it = std::find_if(
+            worker->tasks.begin(), worker->tasks.end(),
+            [&](const Task& t) { return t.group == &group; });
+        if (it == worker->tasks.end()) break;
+        task = std::move(*it);
+        worker->tasks.erase(it);
+      }
+      queued_.fetch_sub(1);
+      run_task(task);
+    }
+  }
 }
 
 void ThreadPool::worker_loop(std::size_t self) {
+  t_pool_worker = true;
   while (true) {
     if (try_run_one(self)) continue;
     std::unique_lock<std::mutex> lock(idle_mu_);
@@ -118,6 +160,41 @@ void ThreadPool::wait() {
   }
   std::unique_lock<std::mutex> lock(idle_mu_);
   done_cv_.wait(lock, [this] { return pending_.load() == 0; });
+}
+
+bool ThreadPool::on_worker_thread() noexcept { return t_pool_worker; }
+
+void TaskGroup::run(std::function<void()> task) {
+  pending_.fetch_add(1, std::memory_order_relaxed);
+  pool_.enqueue(ThreadPool::Task{std::move(task), this});
+}
+
+void TaskGroup::finish() {
+  // The decrement happens under mu_, and wait() always takes mu_ before
+  // it returns, so the group cannot be destroyed while this notifies.
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    done_cv_.notify_all();
+  }
+}
+
+void TaskGroup::wait() {
+  if (pending_.load(std::memory_order_acquire) == 0) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return;
+  }
+  if (ThreadPool::on_worker_thread() || pool_.threads() == 0) {
+    run_unstarted();
+  }
+  for (int spin = 0; spin < kGroupSpins &&
+                     pending_.load(std::memory_order_acquire) != 0;
+       ++spin) {
+    cpu_relax();
+  }
+  std::unique_lock<std::mutex> lock(mu_);
+  done_cv_.wait(lock, [this] {
+    return pending_.load(std::memory_order_acquire) == 0;
+  });
 }
 
 int ThreadPool::resolve_jobs(int requested) noexcept {

@@ -57,6 +57,17 @@ TEST_F(Arena, AlignsEveryPodUsedByTheDpTables) {
   }
 }
 
+TEST_F(Arena, CacheLineAlignmentIsAnAddressNotAnOffset) {
+  // Chunk bases are only max_align_t-aligned; the pipelined DP fill pads
+  // its per-worker scratch and progress counters to whole cache lines.
+  util::Arena a("test.arena");
+  for (int round = 0; round < 64; ++round) {
+    (void)a.allocate(1 + static_cast<std::size_t>(round) % 13, 1);
+    const void* p = a.allocate(40, 64);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 64, 0u) << round;
+  }
+}
+
 TEST_F(Arena, AllocationsDoNotOverlapAndHoldTheirBytes) {
   util::Arena a("test.arena");
   std::vector<std::int64_t*> blocks;

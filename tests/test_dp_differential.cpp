@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <exception>
 #include <cstdint>
 #include <limits>
 #include <numeric>
@@ -24,6 +25,7 @@
 #include "graphs/satellite.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
+#include "pipeline/compile.h"
 #include "pipeline/explore.h"
 #include "sched/apgan.h"
 #include "sched/chain_dp.h"
@@ -36,6 +38,8 @@
 #include "test_util.h"
 #include "util/arena.h"
 #include "util/fault.h"
+#include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace sdf {
 namespace ref {
@@ -325,6 +329,24 @@ std::vector<Graph> differential_graphs() {
   return graphs;
 }
 
+/// A seeded random graph from the fig27_random / perfbench source.
+Graph benchmark_graph(int actors, RandomRateMode mode) {
+  std::mt19937 rng(static_cast<std::uint32_t>(1000 + actors) +
+                   (mode == RandomRateMode::kCompoundingRates ? 7u : 0u));
+  RandomSdfOptions options;
+  options.num_actors = actors;
+  options.rate_mode = mode;
+  return random_sdf_graph(options, rng);
+}
+
+/// Actors just above the pipelined-fill threshold (sched/dp_fill.h), so
+/// fills on the test thread run column-pipelined on multi-core hosts.
+/// Kept close to it: under TSan one such fill takes about 0.2 s.
+constexpr int kPipelinedActors = 260;
+
+/// Whether a fill above the threshold pipelines on this host.
+bool host_pipelines() { return util::ThreadPool::hardware_jobs() >= 2; }
+
 std::string splits_text(const SplitTable& s) {
   std::string out;
   for (std::size_t i = 0; i < s.size(); ++i) {
@@ -421,13 +443,38 @@ TEST_F(DpDifferential, SdppoIsByteIdenticalToTheReference) {
 
 /// Checks all four DP entry points on one (graph, order) against the
 /// reference: cost, split table and schedule text, in arena mode with and
-/// without a shared slab.
+/// without a shared slab. With `full_only`, just dppo() and sdppo()
+/// without a slab.
 void expect_dps_match_reference(const Graph& g, const Repetitions& q,
                                 const std::vector<ActorId>& order,
-                                const std::string& label) {
+                                const std::string& label,
+                                bool full_only = false) {
   const DppoResult want_d = ref::dppo(g, q, order);
   const SdppoResult want_s = ref::sdppo(g, q, order);
   util::Arena arena("test.differential");
+  if (full_only) {
+    // Split tables compared cell by cell: their text is large here.
+    const auto same_splits = [](const SplitTable& a, const SplitTable& b) {
+      if (a.size() != b.size()) return false;
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        for (std::size_t j = i + 1; j < a.size(); ++j) {
+          if (a.at(i, j) != b.at(i, j)) return false;
+        }
+      }
+      return true;
+    };
+    const DppoResult got_d = dppo(g, q, order, &arena);
+    EXPECT_EQ(got_d.cost, want_d.cost) << label;
+    EXPECT_TRUE(same_splits(got_d.splits, want_d.splits)) << label;
+    EXPECT_EQ(got_d.schedule.to_string(g), want_d.schedule.to_string(g))
+        << label;
+    const SdppoResult got_s = sdppo(g, q, order, &arena);
+    EXPECT_EQ(got_s.estimate, want_s.estimate) << label;
+    EXPECT_TRUE(same_splits(got_s.splits, want_s.splits)) << label;
+    EXPECT_EQ(got_s.schedule.to_string(g), want_s.schedule.to_string(g))
+        << label;
+    return;
+  }
   const SplitCosts slab(g, q, order);
   for (const SplitCosts* shared : {static_cast<const SplitCosts*>(nullptr),
                                    &slab}) {
@@ -452,25 +499,38 @@ void expect_dps_match_reference(const Graph& g, const Repetitions& q,
 
 TEST_F(DpDifferential, RandomGraphsAtBenchmarkScaleMatchTheReference) {
   // The fig27_random / perfbench graph source at 40-120 actors, both rate
-  // modes, under the three orders the pipeline and tests use.
+  // modes, under the three orders the pipeline and tests use; then just
+  // above the pipelined-fill threshold, where the fills on this thread
+  // run column-pipelined: compile()'s RPMC order in one rate mode and its
+  // APGAN order in the other, full results only (the sanitizer jobs run
+  // this test, and a fill of that size takes them about 0.2 s; the
+  // estimate-only fills are pinned by CellAndSplitCountersCoverTheTriangle).
+  obs::set_enabled(true);
   for (const RandomRateMode mode : {RandomRateMode::kBoundedRepetitions,
                                     RandomRateMode::kCompoundingRates}) {
-    for (const int actors : {40, 80, 120}) {
-      std::mt19937 rng(static_cast<std::uint32_t>(1000 + actors) +
-                       (mode == RandomRateMode::kCompoundingRates ? 7u : 0u));
-      RandomSdfOptions options;
-      options.num_actors = actors;
-      options.rate_mode = mode;
-      const Graph g = random_sdf_graph(options, rng);
+    for (const int actors : {40, 80, 120, kPipelinedActors}) {
+      const Graph g = benchmark_graph(actors, mode);
       const Repetitions q = repetitions_vector(g);
       const std::string label =
           std::to_string(actors) + " actors, mode " +
           std::to_string(static_cast<int>(mode)) + ", order ";
-      expect_dps_match_reference(g, q, topo(g), label + "topo");
-      expect_dps_match_reference(g, q, rpmc_multistart(g, q).lexorder,
-                                 label + "rpmc");
-      expect_dps_match_reference(g, q, apgan(g, q).lexorder,
-                                 label + "apgan");
+      obs::reset();
+      if (actors < kPipelinedActors) {
+        expect_dps_match_reference(g, q, topo(g), label + "topo");
+        expect_dps_match_reference(g, q, rpmc_multistart(g, q).lexorder,
+                                   label + "rpmc");
+        expect_dps_match_reference(g, q, apgan(g, q).lexorder,
+                                   label + "apgan");
+      } else if (mode == RandomRateMode::kBoundedRepetitions) {
+        expect_dps_match_reference(g, q, rpmc(g, q).lexorder,
+                                   label + "rpmc", false);
+      } else {
+        expect_dps_match_reference(g, q, apgan(g, q).lexorder,
+                                   label + "apgan", false);
+      }
+      EXPECT_EQ(obs::counter("sched.dp_fill.pipelined") > 0,
+                actors >= kPipelinedActors && host_pipelines())
+          << label;
     }
   }
 }
@@ -504,9 +564,14 @@ TEST_F(DpDifferential, SdppoCrossingEdgeTieBreakMatchesTheReference) {
 
 TEST_F(DpDifferential, CellAndSplitCountersCoverTheTriangle) {
   // One cell per i < j and one split candidate per k in [i, j): the j-outer
-  // fill visits exactly the cells the length-major fill did.
+  // fill visits exactly the cells the length-major fill did, and the
+  // estimate-only fills return the full fills' values. The graph above
+  // the pipelined-fill threshold pins the sum of the per-worker counts.
   obs::set_enabled(true);
-  for (const Graph& g : differential_graphs()) {
+  std::vector<Graph> graphs = differential_graphs();
+  graphs.push_back(
+      benchmark_graph(kPipelinedActors, RandomRateMode::kBoundedRepetitions));
+  for (const Graph& g : graphs) {
     const Repetitions q = repetitions_vector(g);
     const std::vector<ActorId> order = topo(g);
     const auto n = static_cast<std::int64_t>(order.size());
@@ -515,23 +580,100 @@ TEST_F(DpDifferential, CellAndSplitCountersCoverTheTriangle) {
     for (std::int64_t len = 2; len <= n; ++len) {
       splits += (n - len + 1) * (len - 1);
     }
+    const bool pipelined = n >= kPipelinedActors && host_pipelines();
     for (const char* dp : {"dppo", "sdppo"}) {
       const std::string name = dp;
+      std::int64_t full_value = 0;
       for (const bool full : {true, false}) {
         obs::reset();
+        std::int64_t value = 0;
         if (name == "dppo") {
-          full ? (void)dppo(g, q, order) : (void)dppo_cost(g, q, order);
+          value = full ? dppo(g, q, order).cost : dppo_cost(g, q, order);
         } else {
-          full ? (void)sdppo(g, q, order)
-               : (void)sdppo_estimate(g, q, order);
+          value = full ? sdppo(g, q, order).estimate
+                       : sdppo_estimate(g, q, order);
         }
+        if (full) full_value = value;
+        EXPECT_EQ(value, full_value)
+            << g.name() << " " << name << (full ? "" : " estimate");
         EXPECT_EQ(obs::counter("sched." + name + ".cells"), cells)
             << g.name() << " " << name << (full ? "" : " estimate");
         EXPECT_EQ(obs::counter("sched." + name + ".splits"), splits)
             << g.name() << " " << name << (full ? "" : " estimate");
+        EXPECT_EQ(obs::counter("sched.dp_fill.pipelined"), pipelined ? 1 : 0)
+            << g.name() << " " << name << (full ? "" : " estimate");
       }
     }
   }
+}
+
+/// Everything a compile decides, including its degradation provenance.
+std::string compile_fingerprint(const Graph& g, const CompileResult& r) {
+  return r.degradation_path() + "|" + std::to_string(r.dp_estimate) + "|" +
+         std::to_string(r.shared_size) + "|" + r.schedule.to_string(g);
+}
+
+/// compile() on a pool worker, where every DP fill runs serially.
+CompileResult compile_serially(const Graph& g, const CompileOptions& opts) {
+  CompileResult result;
+  std::exception_ptr error;
+  util::ThreadPool pool(1);
+  pool.submit([&] {
+    EXPECT_TRUE(util::ThreadPool::on_worker_thread());
+    try {
+      result = compile(g, opts);
+    } catch (...) {
+      error = std::current_exception();
+    }
+  });
+  pool.wait();
+  if (error) std::rethrow_exception(error);
+  return result;
+}
+
+TEST_F(DpDifferential, PipelinedFillTripSurfacesOnceAndReleasesTheHelpers) {
+  const Graph g =
+      benchmark_graph(kPipelinedActors, RandomRateMode::kBoundedRepetitions);
+  const Repetitions q = repetitions_vector(g);
+  const std::vector<ActorId> order = apgan(g, q).lexorder;
+  const std::int64_t cells =
+      std::int64_t{kPipelinedActors} * (kPipelinedActors - 1) / 2;
+  obs::set_enabled(true);
+  const std::string window = "dp_deadline:" + std::to_string(cells / 2);
+  for (const std::uint32_t seed : {0u, 7u, 42u}) {
+    // A direct fill: helpers count their checks in this thread's fault
+    // context, so the injected deadline fires once and surfaces typed.
+    obs::reset();
+    fault::configure(window, seed);
+    EXPECT_THROW((void)sdppo(g, q, order), ResourceExhaustedError);
+    EXPECT_EQ(fault::fire_count("dp_deadline"), 1) << "seed " << seed;
+    EXPECT_EQ(obs::counter("pipeline.governor.trips"), 1) << "seed " << seed;
+    EXPECT_EQ(obs::counter("sched.sdppo.cells"), 0) << "seed " << seed;
+    fault::clear();
+  }
+
+  // compile() steps down the same ladder rungs as a serial compile.
+  CompileOptions opts;
+  opts.order = OrderHeuristic::kApgan;
+  opts.optimizer = LoopOptimizer::kSdppo;
+  fault::configure(window, 7);
+  const CompileResult pipelined = compile(g, opts);
+  EXPECT_EQ(fault::fire_count("dp_deadline"), 1);
+  fault::configure(window, 7);
+  const CompileResult serial = compile_serially(g, opts);
+  EXPECT_EQ(fault::fire_count("dp_deadline"), 1);
+  fault::clear();
+  EXPECT_FALSE(pipelined.degraded_from.empty());
+  EXPECT_EQ(compile_fingerprint(g, pipelined), compile_fingerprint(g, serial));
+
+  // The helpers were released: the next compile pipelines again and
+  // matches an undegraded serial compile.
+  obs::reset();
+  const CompileResult clean = compile(g, opts);
+  EXPECT_TRUE(clean.degraded_from.empty());
+  EXPECT_EQ(obs::counter("sched.dp_fill.pipelined") > 0, host_pipelines());
+  EXPECT_EQ(compile_fingerprint(g, clean),
+            compile_fingerprint(g, compile_serially(g, opts)));
 }
 
 TEST_F(DpDifferential, ChainDpIsByteIdenticalToTheReference) {

@@ -13,14 +13,17 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <random>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "alloc/first_fit.h"
 #include "alloc/intersection_graph.h"
 #include "alloc/pool_checker.h"
 #include "graphs/filterbank.h"
+#include "graphs/random_sdf.h"
 #include "graphs/satellite.h"
 #include "lifetime/lifetime_extract.h"
 #include "lifetime/schedule_tree.h"
@@ -299,6 +302,36 @@ TEST(ExploreParallel, WorkerSpansAreRecorded) {
   obs::reset();
 }
 
+TEST(ExploreParallel, PipelinedFillsOnTheCallerMatchSerialFillsOnWorkers) {
+  // 260 actors is above the pipelined-fill threshold (sched/dp_fill.h).
+  // With jobs 1 the DP fills run on this thread and pipeline across the
+  // helper pool; with jobs 4 they run on the sweep's workers, which
+  // already own the cores, so every fill is serial. Same sweep either way.
+  // One budget and no merging keep the sanitizer jobs short; the loop-DP
+  // bases are all there.
+  RandomSdfOptions graph_options;
+  graph_options.num_actors = 260;
+  std::mt19937 rng(260);
+  const Graph g = random_sdf_graph(graph_options, rng);
+  ExploreOptions options;
+  options.appearance_budgets = {0};
+  options.try_merging = false;
+  obs::set_enabled(true);
+  obs::reset();
+  options.jobs = 1;
+  const ExploreResult on_caller = explore_designs(g, options);
+  EXPECT_EQ(obs::counter("sched.dp_fill.pipelined") > 0,
+            util::ThreadPool::hardware_jobs() >= 2);
+  obs::reset();
+  options.jobs = 4;
+  const ExploreResult on_workers = explore_designs(g, options);
+  EXPECT_EQ(obs::counter("sched.dp_fill.pipelined"), 0);
+  obs::set_enabled(false);
+  obs::reset();
+  ASSERT_FALSE(on_caller.points.empty());
+  EXPECT_EQ(fingerprint(g, on_caller), fingerprint(g, on_workers));
+}
+
 TEST(ThreadPool, RunsEverySubmittedTask) {
   util::ThreadPool pool(4);
   std::atomic<int> ran{0};
@@ -343,6 +376,53 @@ TEST(ThreadPool, WaitDrainsTasksSpawnedByTasks) {
   }
   pool.wait();
   EXPECT_EQ(ran.load(), 8);
+}
+
+TEST(ThreadPool, TaskGroupWaitsForItsOwnTasksOnly) {
+  // A task outside the group keeps running; the group's wait returns once
+  // the group's own tasks are done (pool.wait() would block on both).
+  util::ThreadPool pool(2);
+  std::atomic<bool> release{false};
+  pool.submit([&release] {
+    while (!release.load()) std::this_thread::yield();
+  });
+  std::atomic<int> ran{0};
+  {
+    util::TaskGroup group(pool);
+    for (int i = 0; i < 32; ++i) group.run([&ran] { ran.fetch_add(1); });
+    group.wait();
+    EXPECT_EQ(ran.load(), 32);
+  }
+  release.store(true);
+  pool.wait();
+}
+
+TEST(ThreadPool, NestedParallelForOnTheSamePoolCompletes) {
+  // Each outer iteration runs on a worker and waits on its own inner
+  // group, running the group's unstarted tasks itself.
+  util::ThreadPool pool(2);
+  std::vector<int> hits(8 * 16, 0);
+  util::parallel_for(&pool, 8, [&](std::size_t outer) {
+    util::parallel_for(&pool, 16, [&](std::size_t inner) {
+      hits[outer * 16 + inner] += 1;
+    });
+  });
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i], 1) << "index " << i;
+  }
+}
+
+TEST(ThreadPool, OnlyWorkerThreadsReportOnWorkerThread) {
+  EXPECT_FALSE(util::ThreadPool::on_worker_thread());
+  util::ThreadPool pool(2);
+  std::atomic<int> on_worker{0};
+  for (int i = 0; i < 8; ++i) {
+    pool.submit([&on_worker] {
+      on_worker.fetch_add(util::ThreadPool::on_worker_thread() ? 1 : 0);
+    });
+  }
+  pool.wait();
+  EXPECT_EQ(on_worker.load(), 8);
 }
 
 TEST(ThreadPool, ResolveJobsHonorsRequestThenEnvThenSerialDefault) {
