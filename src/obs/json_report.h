@@ -1,5 +1,5 @@
-// Minimal JSON value + serializer + parser, and the telemetry report
-// builder. No third-party dependencies.
+// Minimal JSON value + serializer, and the telemetry report builder. No
+// third-party dependencies.
 //
 // The report schema (`sdfmem.telemetry.v1`) is shared by
 // `sdfmem_cli --trace`, the `stats` subcommand, and the bench drivers
@@ -89,12 +89,6 @@ class Json {
   /// Serializes. `indent` < 0 gives a compact single line; >= 0 pretty-
   /// prints with that many spaces per level.
   [[nodiscard]] std::string dump(int indent = -1) const;
-
-  /// Parses a JSON text. Throws std::invalid_argument with a byte offset
-  /// on malformed input or trailing garbage.
-  [[nodiscard]] static Json parse(std::string_view text);
-
-  friend bool operator==(const Json& a, const Json& b);
 
  private:
   void dump_to(std::string& out, int indent, int level) const;

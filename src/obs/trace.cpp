@@ -62,12 +62,6 @@ void reset() {
   detail::reset_counters();
 }
 
-std::int64_t now_ns() noexcept {
-  Session& s = session();
-  const std::lock_guard<std::mutex> lock(s.mu);
-  return ns_since(s.epoch);
-}
-
 Span::Span(std::string_view name) {
   Session& s = session();
   if (!s.enabled.load(std::memory_order_relaxed)) return;

@@ -74,7 +74,4 @@ class Span {
 /// worker threads that may still be recording.
 [[nodiscard]] const std::vector<SpanRecord>& spans() noexcept;
 
-/// Nanoseconds of monotonic time since the last reset().
-[[nodiscard]] std::int64_t now_ns() noexcept;
-
 }  // namespace sdf::obs

@@ -18,29 +18,11 @@
 #include "sched/sdppo.h"
 #include "sched/simulator.h"
 #include "sdf/analysis.h"
-#include "sdf/diagnostics.h"
+#include "util/status.h"
 #include "util/thread_pool.h"
 
 namespace sdf {
 namespace {
-
-std::vector<ActorId> choose_order(const Graph& g, const Repetitions& q,
-                                  OrderHeuristic heuristic) {
-  switch (heuristic) {
-    case OrderHeuristic::kApgan:
-      return apgan(g, q).lexorder;
-    case OrderHeuristic::kRpmc:
-      return rpmc(g, q).lexorder;
-    case OrderHeuristic::kRpmcMultistart:
-      return rpmc_multistart(g, q).lexorder;
-    case OrderHeuristic::kTopological: {
-      const auto order = topological_sort(g);
-      if (!order) throw CyclicGraphError("compile: graph is cyclic");
-      return *order;
-    }
-  }
-  throw InternalError("compile: unknown order heuristic");
-}
 
 /// Runs one rung of the ladder; throws ResourceExhaustedError when a
 /// governor budget (or injected fault) trips inside the optimizer.
@@ -87,6 +69,31 @@ void run_optimizer(const Graph& g, const Repetitions& q,
 }
 
 }  // namespace
+
+std::vector<ActorId> lexical_order(const Graph& g, const Repetitions& q,
+                                   OrderHeuristic heuristic,
+                                   bool& degraded) {
+  degraded = false;
+  try {
+    switch (heuristic) {
+      case OrderHeuristic::kApgan:
+        return apgan(g, q).lexorder;
+      case OrderHeuristic::kRpmc:
+        return rpmc(g, q).lexorder;
+      case OrderHeuristic::kRpmcMultistart:
+        return rpmc_multistart(g, q).lexorder;
+      case OrderHeuristic::kTopological:
+        break;
+    }
+  } catch (const ResourceExhaustedError&) {
+    // The deterministic Kahn order costs O(V + E) and never consults the
+    // governor, so it is the floor a tripped heuristic degrades to.
+    degraded = true;
+  }
+  const auto order = topological_sort(g);
+  if (!order) throw CyclicGraphError("compile: graph is cyclic");
+  return *order;
+}
 
 std::string_view order_name(OrderHeuristic order) noexcept {
   switch (order) {
@@ -146,17 +153,10 @@ CompileResult run_pipeline(const Graph& g, const Repetitions& base_q,
     result.lexorder = *order;
   } else {
     const obs::Span order_span("pipeline.stage.order");
-    try {
-      result.lexorder = choose_order(g, base_q, options.order);
-    } catch (const ResourceExhaustedError&) {
-      // An ordering heuristic (e.g. rpmc* evaluating sdppo estimates)
-      // tripped a budget. The deterministic Kahn order costs O(V + E)
-      // and never consults the governor, so degrade to it.
-      if (options.order == OrderHeuristic::kTopological) throw;
+    result.lexorder =
+        lexical_order(g, base_q, options.order, result.order_degraded);
+    if (result.order_degraded) {
       obs::count("pipeline.compile.order_degraded");
-      result.lexorder =
-          choose_order(g, base_q, OrderHeuristic::kTopological);
-      result.order_degraded = true;
     }
   }
   result.q = base_q;
@@ -259,15 +259,6 @@ CompileResult compile_with_order(const Graph& g,
 
 CompileResult compile(const Graph& g, const CompileOptions& options) {
   return run_pipeline(g, repetitions_vector(g), nullptr, options);
-}
-
-Result<CompileResult> compile_checked(const Graph& g,
-                                      const CompileOptions& options) {
-  try {
-    return Result<CompileResult>(compile(g, options));
-  } catch (const std::exception& e) {
-    return Result<CompileResult>(diagnostic_from_exception(e));
-  }
 }
 
 Table1Row table1_row(const Graph& g, int jobs) {

@@ -17,7 +17,6 @@
 #include "sched/schedule.h"
 #include "sdf/graph.h"
 #include "sdf/repetitions.h"
-#include "util/status.h"
 
 namespace sdf {
 
@@ -50,6 +49,16 @@ enum class LoopOptimizer {
 /// consults the governor and therefore always completes.
 [[nodiscard]] std::optional<LoopOptimizer> degrade_step(
     LoopOptimizer optimizer) noexcept;
+
+/// The lexical order `heuristic` gives `g` (`q` is its repetitions
+/// vector): compile()'s order stage and explore's memoized orders. A
+/// heuristic that trips a resource budget (rpmc* evaluates sdppo
+/// estimates) degrades to the deterministic Kahn order, and `degraded`
+/// says whether it did. Throws CyclicGraphError on a cyclic graph.
+[[nodiscard]] std::vector<ActorId> lexical_order(const Graph& g,
+                                                 const Repetitions& q,
+                                                 OrderHeuristic heuristic,
+                                                 bool& degraded);
 
 struct CompileOptions {
   OrderHeuristic order = OrderHeuristic::kRpmc;
@@ -109,13 +118,6 @@ struct CompileResult {
 [[nodiscard]] CompileResult compile_with_order(
     const Graph& g, const std::vector<ActorId>& order,
     const CompileOptions& options = {});
-
-/// The pipeline boundary: compile() with every in-flight exception
-/// converted to a structured Diagnostic (util/status.h, docs/ERRORS.md)
-/// instead of unwinding into the caller. Resource-budget trips still
-/// degrade internally; only non-recoverable failures surface here.
-[[nodiscard]] Result<CompileResult> compile_checked(
-    const Graph& g, const CompileOptions& options = {});
 
 /// One row of the paper's Table 1: every column for one system.
 struct Table1Row {

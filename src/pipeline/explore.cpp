@@ -136,16 +136,14 @@ ExploreResult explore_designs(const Graph& g, const ExploreOptions& options) {
     }
   }
 
-  ExploreCache cache(g, options.share_dp_bases);
+  ExploreCache cache(g);
   const int jobs = util::ThreadPool::resolve_jobs(options.jobs);
   std::optional<util::ThreadPool> pool;
   if (jobs > 1) pool.emplace(jobs);
   util::ThreadPool* workers = pool ? &*pool : nullptr;
 
   // Phase 1+2: warm the memo cache breadth-first — all orderings, then all
-  // loop-DP bases — so the point fan-out below never duplicates a compile
-  // (and the cache miss count is exactly #orderings + #bases, independent
-  // of thread count).
+  // loop-DP bases — so the point fan-out below never duplicates a compile.
   {
     const obs::Span warm("pipeline.explore.warm_orders");
     util::parallel_for(workers, kNumOrders, [&](std::size_t i) {
@@ -250,8 +248,6 @@ ExploreResult explore_designs(const Graph& g, const ExploreOptions& options) {
              static_cast<std::int64_t>(result.points.size()));
   obs::gauge("pipeline.explore.frontier_size",
              static_cast<std::int64_t>(result.frontier.size()));
-  obs::count("pipeline.explore.cache_hit", cache.hits());
-  obs::count("pipeline.explore.cache_miss", cache.misses());
   obs::count("dp.arena.slab_hits", cache.slab_hits());
   obs::count("dp.arena.slab_misses", cache.slab_misses());
   obs::count("dp.arena.slab_evictions", cache.slab_evictions());

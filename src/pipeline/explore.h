@@ -39,14 +39,6 @@ struct ExploreOptions {
   /// and integers instead of O(P) schedule trees. Tests use this to
   /// validate every point end-to-end.
   bool keep_point_schedules = false;
-  /// Share one SplitCosts slab (the DP's split-cost oracle) between all
-  /// base compiles that use the same lexical ordering, keyed by ordering
-  /// hash in the explore cache (pipeline/explore_cache.h). Output is
-  /// byte-identical either way — the slab holds exactly what each compile
-  /// would have recomputed — so this only trades memory (metered against
-  /// the governor's dp_mem budget) for time.
-  bool share_dp_bases = true;
-
 };
 
 struct DesignPoint {

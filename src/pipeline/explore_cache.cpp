@@ -1,14 +1,10 @@
 #include "pipeline/explore_cache.h"
 
-#include <stdexcept>
 #include <string_view>
 #include <utility>
 
 #include "obs/counters.h"
 #include "pipeline/governor.h"
-#include "sched/apgan.h"
-#include "sched/rpmc.h"
-#include "sdf/analysis.h"
 #include "sdf/repetitions.h"
 #include "util/hash.h"
 #include "util/status.h"
@@ -26,12 +22,6 @@ std::size_t optimizer_index(LoopOptimizer optimizer) {
   const auto i = static_cast<std::size_t>(optimizer);
   if (i >= 4) throw InternalError("ExploreCache: bad loop optimizer");
   return i;
-}
-
-std::vector<ActorId> kahn_order(const Graph& g) {
-  const auto sorted = topological_sort(g);
-  if (!sorted) throw CyclicGraphError("ExploreCache: graph is cyclic");
-  return *sorted;
 }
 
 /// FNV-1a over the ordering's raw bytes: heuristics that produce the same
@@ -54,39 +44,14 @@ ExploreCache::~ExploreCache() {
 
 const std::vector<ActorId>& ExploreCache::lexorder(OrderHeuristic order) {
   OrderSlot& slot = orders_[order_index(order)];
-  bool computed = false;
   std::call_once(slot.once, [&] {
-    const Repetitions q = repetitions_vector(graph_);
-    // A heuristic that trips a resource budget (rpmc* runs sdppo
-    // estimates internally) degrades to the deterministic Kahn order so
-    // the sweep still covers the slot. The degraded order is memoized, so
-    // every variant of the slot sees the same ordering.
-    try {
-      switch (order) {
-        case OrderHeuristic::kApgan:
-          slot.value = apgan(graph_, q).lexorder;
-          break;
-        case OrderHeuristic::kRpmc:
-          slot.value = rpmc(graph_, q).lexorder;
-          break;
-        case OrderHeuristic::kRpmcMultistart:
-          slot.value = rpmc_multistart(graph_, q).lexorder;
-          break;
-        case OrderHeuristic::kTopological:
-          slot.value = kahn_order(graph_);
-          break;
-      }
-    } catch (const ResourceExhaustedError&) {
-      obs::count("pipeline.explore.order_degraded");
-      slot.value = kahn_order(graph_);
-    }
-    computed = true;
+    // A degraded order is memoized too, so every variant of the slot sees
+    // the same ordering.
+    bool degraded = false;
+    slot.value =
+        lexical_order(graph_, repetitions_vector(graph_), order, degraded);
+    if (degraded) obs::count("pipeline.explore.order_degraded");
   });
-  if (computed) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-  }
   return slot.value;
 }
 
@@ -104,7 +69,6 @@ void ExploreCache::evict_locked(std::size_t index) {
 
 std::shared_ptr<const SplitCosts> ExploreCache::dp_base_slab(
     const std::vector<ActorId>& ord) {
-  if (!share_dp_bases_) return nullptr;
   const std::uint64_t key = order_key(ord);
 
   const std::lock_guard<std::mutex> lock(slab_mutex_);
@@ -151,7 +115,6 @@ std::shared_ptr<const SplitCosts> ExploreCache::dp_base_slab(
 const CompileResult& ExploreCache::base(OrderHeuristic order,
                                         LoopOptimizer optimizer) {
   BaseSlot& slot = bases_[order_index(order)][optimizer_index(optimizer)];
-  bool computed = false;
   std::call_once(slot.once, [&] {
     CompileOptions options;
     options.order = order;
@@ -166,13 +129,7 @@ const CompileResult& ExploreCache::base(OrderHeuristic order,
       options.split_costs = slab.get();
     }
     slot.value = compile_with_order(graph_, ord, options);
-    computed = true;
   });
-  if (computed) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-  }
   return slot.value;
 }
 

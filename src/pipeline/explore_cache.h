@@ -20,12 +20,9 @@
 // Thread safety: each slot is guarded by a std::once_flag, so concurrent
 // lookups of the same key block until the single computation finishes and
 // then all observe the same value. Returned references stay valid for the
-// cache's lifetime. Hit/miss counts are deterministic for a fixed set of
-// lookups regardless of thread count or interleaving: misses == distinct
-// keys computed, hits == lookups - misses (a caller that merely *waited*
-// on another thread's computation still counts the lookup as a hit — the
-// work was not repeated). Slab hit/miss counts are deterministic the same
-// way because slab construction happens inside the registry mutex.
+// cache's lifetime. Slab hit/miss counts are deterministic for any thread
+// count or interleaving because slab construction happens inside the
+// registry mutex.
 #pragma once
 
 #include <atomic>
@@ -44,32 +41,22 @@ class ResourceGovernor;  // pipeline/governor.h
 
 class ExploreCache {
  public:
-  /// Borrows `g`; the graph must outlive the cache. `share_dp_bases`
-  /// toggles the SplitCosts slab registry (ExploreOptions::share_dp_bases).
-  explicit ExploreCache(const Graph& g, bool share_dp_bases = true)
-      : graph_(g), share_dp_bases_(share_dp_bases) {}
+  /// Borrows `g`; the graph must outlive the cache.
+  explicit ExploreCache(const Graph& g) : graph_(g) {}
   /// Releases any slab bytes still charged to their governors.
   ~ExploreCache();
 
   ExploreCache(const ExploreCache&) = delete;
   ExploreCache& operator=(const ExploreCache&) = delete;
 
-  /// The lexical ordering for `order`, computed once per heuristic.
+  /// The lexical ordering for `order`, computed once per heuristic by
+  /// lexical_order (pipeline/compile.h).
   const std::vector<ActorId>& lexorder(OrderHeuristic order);
 
   /// The compiled base (schedule, DP estimate, lifetimes, allocation) for
   /// (order, optimizer), computed once via the cached lexorder and shared
   /// const across all budget/merging/fit-order variants.
   const CompileResult& base(OrderHeuristic order, LoopOptimizer optimizer);
-
-  /// Lookups that found (or waited on) an already-keyed computation.
-  [[nodiscard]] std::int64_t hits() const noexcept {
-    return hits_.load(std::memory_order_relaxed);
-  }
-  /// Lookups that ran the computation (== distinct keys touched).
-  [[nodiscard]] std::int64_t misses() const noexcept {
-    return misses_.load(std::memory_order_relaxed);
-  }
 
   /// Slab registry telemetry (published as dp.arena.slab_* by explore).
   [[nodiscard]] std::int64_t slab_hits() const noexcept {
@@ -114,17 +101,14 @@ class ExploreCache {
   };
 
   /// The shared slab for `ord` (built on demand, inside the registry
-  /// mutex for deterministic counters); nullptr when sharing is off.
+  /// mutex for deterministic counters).
   std::shared_ptr<const SplitCosts> dp_base_slab(
       const std::vector<ActorId>& ord);
   void evict_locked(std::size_t index);
 
   const Graph& graph_;
-  const bool share_dp_bases_;
   OrderSlot orders_[kOrders];
   BaseSlot bases_[kOrders][kOptimizers];
-  std::atomic<std::int64_t> hits_{0};
-  std::atomic<std::int64_t> misses_{0};
 
   std::mutex slab_mutex_;
   std::vector<Slab> slabs_;  ///< insertion order == eviction order

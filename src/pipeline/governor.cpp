@@ -14,9 +14,14 @@ std::atomic<ResourceGovernor*> g_current_governor{nullptr};
 
 namespace {
 
-[[noreturn]] void trip(std::string_view site, const std::string& what) {
-  obs::count("pipeline.governor.trips");
-  obs::count("pipeline.governor." + std::string(site) + ".trips");
+/// Counts the trip unless another worker sharing `stop` tripped first,
+/// then throws.
+[[noreturn]] void trip(std::string_view site, const std::string& what,
+                       std::atomic<bool>* stop = nullptr) {
+  if (stop == nullptr || !stop->exchange(true, std::memory_order_acq_rel)) {
+    obs::count("pipeline.governor.trips");
+    obs::count("pipeline.governor." + std::string(site) + ".trips");
+  }
   throw ResourceExhaustedError(std::string(site) + ": " + what);
 }
 
@@ -30,16 +35,18 @@ ResourceGovernor::Scope::~Scope() {
   detail::g_current_governor.store(previous_, std::memory_order_release);
 }
 
-void detail::governor_checkpoint_slow(std::string_view site) {
+void detail::governor_checkpoint_slow(std::string_view site,
+                                      std::atomic<bool>* stop) {
   if (fault::enabled() && fault::should_fail("dp_deadline")) {
-    trip(site, "injected deadline fault");
+    trip(site, "injected deadline fault", stop);
   }
   ResourceGovernor* governor = ResourceGovernor::current();
   if (governor != nullptr && governor->deadline_expired()) {
-    trip(site, "deadline of " +
-                   std::to_string(governor->budget().deadline_ms) +
-                   " ms exceeded (" + std::to_string(governor->elapsed_ms()) +
-                   " ms elapsed)");
+    trip(site,
+         "deadline of " + std::to_string(governor->budget().deadline_ms) +
+             " ms exceeded (" + std::to_string(governor->elapsed_ms()) +
+             " ms elapsed)",
+         stop);
   }
 }
 

@@ -97,7 +97,7 @@ namespace detail {
 /// Storage for ResourceGovernor::current(); written only by Scope.
 extern std::atomic<ResourceGovernor*> g_current_governor;
 /// Out-of-line checkpoint body: fault firing rule + deadline check.
-void governor_checkpoint_slow(std::string_view site);
+void governor_checkpoint_slow(std::string_view site, std::atomic<bool>* stop);
 }  // namespace detail
 
 inline ResourceGovernor* ResourceGovernor::current() noexcept {
@@ -107,13 +107,17 @@ inline ResourceGovernor* ResourceGovernor::current() noexcept {
 /// Cooperative deadline checkpoint. Throws ResourceExhaustedError when the
 /// installed governor's deadline has expired or the fault site
 /// "dp_deadline" fires. `site` names the caller in the error message and
-/// telemetry ("sched.chain_dp", "pipeline.explore", ...). Near-free when
-/// ungoverned and injection is off: two inline atomic loads — the DP
-/// layers call this once per table cell, so the no-op path must not cost
-/// a function call.
-inline void governor_checkpoint(std::string_view site) {
+/// telemetry ("sched.chain_dp", "pipeline.explore", ...). `stop`, when
+/// given, is the stop flag the workers of one computation share (a
+/// pipelined DP fill): a trip sets it, and only the trip that sets it
+/// first is counted, so the computation counts one trip however many
+/// workers see the expired deadline. Near-free when ungoverned and
+/// injection is off: two inline atomic loads — the DP layers call this
+/// once per table cell, so the no-op path must not cost a function call.
+inline void governor_checkpoint(std::string_view site,
+                                std::atomic<bool>* stop = nullptr) {
   if (fault::enabled() || ResourceGovernor::current() != nullptr) {
-    detail::governor_checkpoint_slow(site);
+    detail::governor_checkpoint_slow(site, stop);
   }
 }
 

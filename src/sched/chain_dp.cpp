@@ -237,13 +237,4 @@ ChainDpResult chain_sdppo_exact(const Graph& g, const Repetitions& q,
   return result;
 }
 
-ChainDpResult chain_sdppo_exact(const Graph& g, const Repetitions& q) {
-  const auto order = chain_order(g);
-  if (!order) {
-    throw BadArgumentError(
-        "chain_sdppo_exact: graph is not chain-structured");
-  }
-  return chain_sdppo_exact(g, q, *order);
-}
-
 }  // namespace sdf

@@ -62,11 +62,6 @@ struct ChainDpResult {
     std::size_t max_incomparable = 32, util::Arena* arena = nullptr,
     const SplitCosts* shared_costs = nullptr);
 
-/// Convenience: discovers the chain order itself; throws
-/// std::invalid_argument if `g` is not chain-structured.
-[[nodiscard]] ChainDpResult chain_sdppo_exact(const Graph& g,
-                                              const Repetitions& q);
-
 /// Exposed for tests: combines a left and right triple across a split whose
 /// crossing buffer has size `c`, with half repetition ratios `rl`, `rr`
 /// (how many times each half iterates inside the parent loop).

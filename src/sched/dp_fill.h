@@ -93,6 +93,9 @@ class Pipeline {
   [[nodiscard]] bool stopped() const noexcept {
     return stop_.load(std::memory_order_acquire);
   }
+  /// The fill's governor checkpoint: a trip stops the other workers, and
+  /// only the fill's first trip is counted.
+  void checkpoint(std::string_view site) { governor_checkpoint(site, &stop_); }
   /// Records the first worker's exception and stops the others.
   void fail(std::exception_ptr error) noexcept;
   /// Rethrows the recorded exception, if any (after the join).
@@ -158,7 +161,7 @@ void run_worker(Pipeline& pipe, const SplitCosts& costs, int worker,
           stopped = pipe.stopped();
           if (stopped) break;
         }
-        governor_checkpoint(site);
+        pipe.checkpoint(site);
         cell(column, i, j);
         ++counts.cells;
         counts.splits += static_cast<std::int64_t>(j - i);

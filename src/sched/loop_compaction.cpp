@@ -99,9 +99,4 @@ CompactionResult compact_firing_sequence(const std::vector<ActorId>& seq,
   return result;
 }
 
-CompactionResult recompact(const Schedule& s, std::size_t max_length) {
-  const std::vector<ActorId> seq = s.flatten(max_length + 1);
-  return compact_firing_sequence(seq, max_length);
-}
-
 }  // namespace sdf

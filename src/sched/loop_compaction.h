@@ -35,9 +35,4 @@ struct CompactionResult {
 [[nodiscard]] CompactionResult compact_firing_sequence(
     const std::vector<ActorId>& seq, std::size_t max_length = 1024);
 
-/// Convenience: flattens `s` (must stay within `max_length` firings) and
-/// recompacts it optimally. The result fires identically to `s`.
-[[nodiscard]] CompactionResult recompact(const Schedule& s,
-                                         std::size_t max_length = 1024);
-
 }  // namespace sdf

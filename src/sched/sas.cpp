@@ -3,7 +3,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "sched/simulator.h"
 #include "sdf/analysis.h"
 
 namespace sdf {
@@ -26,10 +25,6 @@ Schedule flat_sas(const Graph& g, const Repetitions& q) {
   const auto order = topological_sort(g);
   if (!order) throw std::invalid_argument("flat_sas: graph is cyclic");
   return flat_sas(g, q, *order);
-}
-
-std::int64_t bufmem_nonshared(const Graph& g, const Schedule& s) {
-  return simulate(g, s).buffer_memory;
 }
 
 std::int64_t range_gcd(const Repetitions& q, const std::vector<ActorId>& order,

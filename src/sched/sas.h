@@ -26,10 +26,6 @@ namespace sdf {
 /// Throws std::invalid_argument if the graph is cyclic.
 [[nodiscard]] Schedule flat_sas(const Graph& g, const Repetitions& q);
 
-/// Buffer memory (EQ 1, non-shared) of a SAS given by split positions:
-/// convenience wrapper running the simulator.
-[[nodiscard]] std::int64_t bufmem_nonshared(const Graph& g, const Schedule& s);
-
 /// gcd of q over a contiguous range [i, j] of `order` (g_ij in the paper).
 [[nodiscard]] std::int64_t range_gcd(const Repetitions& q,
                                      const std::vector<ActorId>& order,

@@ -36,13 +36,6 @@ std::int64_t Schedule::firings(ActorId a) const {
   return sum * count_;
 }
 
-std::int64_t Schedule::appearances(ActorId a) const {
-  if (is_leaf()) return actor_ == a ? 1 : 0;
-  std::int64_t sum = 0;
-  for (const Schedule& child : body_) sum += child.appearances(a);
-  return sum;
-}
-
 Repetitions Schedule::firing_vector(std::size_t num_actors) const {
   Repetitions v(num_actors, 0);
   // Recursive lambda accumulating multiplier * leaf counts.

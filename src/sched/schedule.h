@@ -42,8 +42,6 @@ class Schedule {
 
   /// Total number of firings of `a` in one execution of this schedule.
   [[nodiscard]] std::int64_t firings(ActorId a) const;
-  /// Number of leaves naming `a` (appearances in the looped notation).
-  [[nodiscard]] std::int64_t appearances(ActorId a) const;
   /// Firing counts for all actors at once.
   [[nodiscard]] Repetitions firing_vector(std::size_t num_actors) const;
 

@@ -146,30 +146,6 @@ bool is_topological_order(const Graph& g, const std::vector<ActorId>& order) {
   return true;
 }
 
-std::vector<bool> reachable_from(const Graph& g, ActorId from) {
-  std::vector<bool> seen(g.num_actors(), false);
-  std::stack<ActorId> work;
-  for (EdgeId e : g.out_edges(from)) {
-    const ActorId s = g.edge(e).snk;
-    if (!seen[static_cast<std::size_t>(s)]) {
-      seen[static_cast<std::size_t>(s)] = true;
-      work.push(s);
-    }
-  }
-  while (!work.empty()) {
-    const ActorId a = work.top();
-    work.pop();
-    for (EdgeId e : g.out_edges(a)) {
-      const ActorId s = g.edge(e).snk;
-      if (!seen[static_cast<std::size_t>(s)]) {
-        seen[static_cast<std::size_t>(s)] = true;
-        work.push(s);
-      }
-    }
-  }
-  return seen;
-}
-
 std::vector<std::int32_t> strongly_connected_components(const Graph& g) {
   // Iterative Tarjan.
   const auto n = g.num_actors();

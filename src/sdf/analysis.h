@@ -42,10 +42,6 @@ namespace sdf {
 [[nodiscard]] bool is_topological_order(const Graph& g,
                                         const std::vector<ActorId>& order);
 
-/// actors reachable from `from` via directed edges (excluding `from` itself
-/// unless on a cycle).
-[[nodiscard]] std::vector<bool> reachable_from(const Graph& g, ActorId from);
-
 /// Strongly connected components (Tarjan). Returns component index per
 /// actor; components are numbered in reverse topological order.
 [[nodiscard]] std::vector<std::int32_t> strongly_connected_components(

@@ -30,13 +30,6 @@ std::string_view error_code_name(ErrorCode code) noexcept {
   return "internal";
 }
 
-ErrorCode error_code_from_name(std::string_view name) noexcept {
-  for (const auto& [c, n] : kNames) {
-    if (n == name) return c;
-  }
-  return ErrorCode::kInternal;
-}
-
 int exit_code_for(ErrorCode code) noexcept {
   if (code == ErrorCode::kOk) return 0;
   return 10 + static_cast<int>(code);  // kParse=11 ... kInternal=21

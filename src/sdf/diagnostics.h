@@ -16,9 +16,6 @@ namespace sdf {
 /// These are part of the machine-readable surface — never reworded.
 [[nodiscard]] std::string_view error_code_name(ErrorCode code) noexcept;
 
-/// Inverse of error_code_name; kInternal for unknown names.
-[[nodiscard]] ErrorCode error_code_from_name(std::string_view name) noexcept;
-
 /// Distinct process exit code per ErrorCode (documented in docs/ERRORS.md):
 /// kOk -> 0, then 10 + enum position (kParse -> 11, ... kInternal -> 21).
 /// 1 and 2 stay reserved for generic failure and usage errors.

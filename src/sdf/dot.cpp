@@ -1,7 +1,6 @@
 #include "sdf/dot.h"
 
 #include <algorithm>
-#include <numeric>
 #include <sstream>
 
 namespace sdf {
@@ -21,63 +20,6 @@ std::string graph_to_dot(const Graph& g) {
     os << "\"];\n";
   }
   os << "}\n";
-  return os.str();
-}
-
-std::string schedule_tree_to_dot(const Graph& g, const ScheduleTree& tree) {
-  std::ostringstream os;
-  os << "digraph schedule_tree {\n  node [shape=ellipse];\n";
-  for (std::size_t i = 0; i < tree.size(); ++i) {
-    const TreeNode& n = tree.node(static_cast<TreeNodeId>(i));
-    os << "  n" << i << " [label=\"";
-    if (n.is_leaf()) {
-      os << "(";
-      if (n.leaf_count != 1) os << n.leaf_count;
-      os << g.actor(n.actor).name << ")";
-    } else {
-      os << "x" << n.loop;
-    }
-    os << "\\n[" << n.start << "," << n.stop << ")\"";
-    if (n.is_leaf()) os << " shape=box";
-    os << "];\n";
-  }
-  for (std::size_t i = 0; i < tree.size(); ++i) {
-    const TreeNode& n = tree.node(static_cast<TreeNodeId>(i));
-    if (!n.is_leaf()) {
-      os << "  n" << i << " -> n" << n.left << ";\n";
-      os << "  n" << i << " -> n" << n.right << ";\n";
-    }
-  }
-  os << "}\n";
-  return os.str();
-}
-
-std::string allocation_to_text(const Graph& g,
-                               const std::vector<BufferLifetime>& lifetimes,
-                               const Allocation& alloc) {
-  std::ostringstream os;
-  os << "pool size: " << alloc.total_size << " tokens\n";
-  // Rows sorted by offset for a readable memory map.
-  std::vector<std::size_t> order(lifetimes.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-    return alloc.offsets[static_cast<std::size_t>(lifetimes[x].edge)] <
-           alloc.offsets[static_cast<std::size_t>(lifetimes[y].edge)];
-  });
-  for (std::size_t i : order) {
-    const BufferLifetime& b = lifetimes[i];
-    const Edge& e = g.edge(b.edge);
-    const std::int64_t off =
-        alloc.offsets[static_cast<std::size_t>(b.edge)];
-    os << "  [" << off << ", " << off + b.width << ") " << g.actor(e.src).name
-       << "->" << g.actor(e.snk).name << "  live [";
-    os << b.interval.first_start() << ","
-       << b.interval.first_start() + b.interval.burst_duration() << ")";
-    if (b.interval.is_periodic()) {
-      os << " x" << b.interval.occurrences();
-    }
-    os << "\n";
-  }
   return os.str();
 }
 

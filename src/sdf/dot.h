@@ -1,12 +1,11 @@
-// Graphviz DOT export for graphs, schedule trees and memory maps —
-// the debugging/visualization surface of the library.
+// Graphviz DOT export for graphs and an ASCII lifetime chart — the
+// debugging/visualization surface of the library.
 #pragma once
 
 #include <string>
 
 #include "alloc/allocation.h"
 #include "lifetime/lifetime_extract.h"
-#include "lifetime/schedule_tree.h"
 #include "sdf/graph.h"
 
 namespace sdf {
@@ -14,18 +13,6 @@ namespace sdf {
 /// DOT digraph of the SDF graph: edges labeled "prod/cns" with delays as
 /// "(nD)" suffixes.
 [[nodiscard]] std::string graph_to_dot(const Graph& g);
-
-/// DOT rendering of a schedule tree: internal nodes show loop factors,
-/// leaves show "(count actor)"; each node carries its [start, stop) span.
-[[nodiscard]] std::string schedule_tree_to_dot(const Graph& g,
-                                               const ScheduleTree& tree);
-
-/// Text memory map of an allocation: one row per buffer with its address
-/// range and live bursts (not DOT, but it belongs to the same
-/// visualization surface).
-[[nodiscard]] std::string allocation_to_text(
-    const Graph& g, const std::vector<BufferLifetime>& lifetimes,
-    const Allocation& alloc);
 
 /// ASCII Gantt chart of buffer lifetimes over one schedule period: one row
 /// per buffer, '#' during live bursts, '.' otherwise, at most `max_cols`

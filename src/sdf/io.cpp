@@ -162,14 +162,4 @@ Graph load_graph(const std::string& path) {
   return parse_graph_text(buffer.str());
 }
 
-void save_graph(const Graph& g, const std::string& path) {
-  if (fault::enabled() && fault::should_fail("io_open")) {
-    throw IoError("save_graph: injected I/O failure opening " + path);
-  }
-  std::ofstream out(path);
-  if (!out) throw IoError("save_graph: cannot open " + path);
-  out << write_graph_text(g);
-  if (!out) throw IoError("save_graph: write failed " + path);
-}
-
 }  // namespace sdf

@@ -27,8 +27,8 @@ namespace sdf {
 /// the same actors/edges in order.
 [[nodiscard]] std::string write_graph_text(const Graph& g);
 
-/// File helpers (throw IoError, a std::runtime_error, on I/O failure).
+/// Reads and parses a graph file (throws IoError, a std::runtime_error,
+/// when it cannot be opened).
 [[nodiscard]] Graph load_graph(const std::string& path);
-void save_graph(const Graph& g, const std::string& path);
 
 }  // namespace sdf

@@ -122,15 +122,4 @@ std::int64_t tnse(const Graph& g, const Repetitions& q, EdgeId e) {
   return r;
 }
 
-std::int64_t total_tnse(const Graph& g, const Repetitions& q) {
-  std::int64_t sum = 0;
-  for (std::size_t e = 0; e < g.num_edges(); ++e) {
-    if (__builtin_add_overflow(sum, tnse(g, q, static_cast<EdgeId>(e)),
-                               &sum)) {
-      throw ArithmeticOverflowError("total_tnse: accumulation overflow");
-    }
-  }
-  return sum;
-}
-
 }  // namespace sdf

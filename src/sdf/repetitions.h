@@ -37,8 +37,4 @@ struct ConsistencyResult {
 /// TNSE(e) = prod(e) * q(src(e)).
 [[nodiscard]] std::int64_t tnse(const Graph& g, const Repetitions& q, EdgeId e);
 
-/// Sum of TNSE over all edges (an upper bound on non-shared buffering of a
-/// flat SAS, ignoring delays).
-[[nodiscard]] std::int64_t total_tnse(const Graph& g, const Repetitions& q);
-
 }  // namespace sdf

@@ -1,10 +1,9 @@
 #include "sdf/throughput.h"
 
-#include <numeric>
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
-#include "sdf/analysis.h"
 #include "sdf/transform.h"
 
 namespace sdf {
@@ -49,112 +48,6 @@ std::int64_t critical_path_latency(const Graph& g, const Repetitions& q,
         "critical_path_latency: delay-free cycle (deadlocked graph)");
   }
   return latest;
-}
-
-namespace {
-
-struct CycleFind {
-  bool found = false;
-  std::int64_t exec_sum = 0;
-  std::int64_t delay_sum = 0;
-};
-
-/// Looks for a cycle with positive weight under w(e) = den*exec(src(e)) -
-/// num*delay(e) (i.e. a cycle whose mean exceeds num/den). Bellman-Ford
-/// longest-path from an all-zero start; any node still improvable after
-/// |V| rounds lies on/reaches a positive cycle, which is extracted by
-/// walking predecessors.
-CycleFind positive_cycle(const Graph& g,
-                         const std::vector<std::int64_t>& exec,
-                         std::int64_t num, std::int64_t den) {
-  const std::size_t n = g.num_actors();
-  std::vector<std::int64_t> dist(n, 0);
-  std::vector<EdgeId> pred(n, kInvalidEdge);
-  auto weight = [&](const Edge& e) {
-    return den * exec[static_cast<std::size_t>(e.src)] - num * e.delay;
-  };
-  ActorId improved = kInvalidActor;
-  for (std::size_t round = 0; round <= n; ++round) {
-    improved = kInvalidActor;
-    for (std::size_t eid = 0; eid < g.num_edges(); ++eid) {
-      const Edge& e = g.edge(static_cast<EdgeId>(eid));
-      const std::int64_t cand =
-          dist[static_cast<std::size_t>(e.src)] + weight(e);
-      if (cand > dist[static_cast<std::size_t>(e.snk)]) {
-        dist[static_cast<std::size_t>(e.snk)] = cand;
-        pred[static_cast<std::size_t>(e.snk)] = static_cast<EdgeId>(eid);
-        improved = e.snk;
-      }
-    }
-    if (improved == kInvalidActor) break;
-  }
-  CycleFind out;
-  if (improved == kInvalidActor) return out;
-
-  // Walk back |V| steps to land inside the cycle, then trace it. Every
-  // node on the improving path has a predecessor edge; the defensive
-  // checks below only fire on arithmetic pathologies.
-  ActorId node = improved;
-  for (std::size_t i = 0; i < n; ++i) {
-    const EdgeId p = pred[static_cast<std::size_t>(node)];
-    if (p == kInvalidEdge) return out;
-    node = g.edge(p).src;
-  }
-  const ActorId start = node;
-  do {
-    const EdgeId p = pred[static_cast<std::size_t>(node)];
-    if (p == kInvalidEdge) return CycleFind{};
-    const Edge& e = g.edge(p);
-    out.exec_sum += exec[static_cast<std::size_t>(e.src)];
-    out.delay_sum += e.delay;
-    node = e.src;
-  } while (node != start);
-  out.found = true;
-  return out;
-}
-
-}  // namespace
-
-std::optional<IterationBound> iteration_bound(
-    const Graph& g, const std::vector<std::int64_t>& exec) {
-  if (exec.size() != g.num_actors()) {
-    throw std::invalid_argument("iteration_bound: exec size mismatch");
-  }
-  for (std::int64_t t : exec) {
-    if (t < 0) {
-      throw std::invalid_argument("iteration_bound: negative exec time");
-    }
-  }
-  if (is_acyclic(g)) return std::nullopt;
-
-  // Lambda iteration: start below every cycle mean, repeatedly jump to the
-  // exact mean of a cycle that beats the current bound. Strictly
-  // increasing through the finite set of cycle means, so it terminates.
-  std::int64_t num = 0, den = 1;
-  while (true) {
-    const CycleFind cycle = positive_cycle(g, exec, num, den);
-    if (!cycle.found) break;
-    if (cycle.delay_sum == 0) {
-      throw std::invalid_argument(
-          "iteration_bound: delay-free cycle (deadlocked graph)");
-    }
-    std::int64_t new_num = cycle.exec_sum;
-    std::int64_t new_den = cycle.delay_sum;
-    const std::int64_t gcd = std::gcd(new_num, new_den);
-    if (gcd > 1) {
-      new_num /= gcd;
-      new_den /= gcd;
-    }
-    // Guard against non-progress (cannot happen mathematically; protects
-    // against overflow pathologies).
-    if (new_num * den <= num * new_den) break;
-    num = new_num;
-    den = new_den;
-  }
-  IterationBound bound;
-  bound.numerator = num;
-  bound.denominator = den;
-  return bound;
 }
 
 }  // namespace sdf

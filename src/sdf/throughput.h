@@ -1,16 +1,12 @@
-// Timing analysis: critical-path latency and the iteration bound.
+// Timing analysis: critical-path latency.
 //
 // With per-actor execution times, an acyclic SDF graph's single-period
-// latency is the longest path through its HSDF expansion; for graphs with
-// feedback the steady-state throughput is limited by the iteration bound
-//   max over cycles C of (sum of exec times on C) / (sum of delays on C)
-// (the max cycle mean / MCM of the delay-weighted graph). These are the
-// standard companions to memory-oriented scheduling when validating that
-// an implementation can meet its sample rate.
+// latency is the longest path through its HSDF expansion: the standard
+// companion to memory-oriented scheduling when validating that an
+// implementation can meet its sample rate.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "sdf/graph.h"
@@ -27,23 +23,5 @@ namespace sdf {
 [[nodiscard]] std::int64_t critical_path_latency(
     const Graph& g, const Repetitions& q,
     const std::vector<std::int64_t>& exec, std::size_t max_nodes = 100000);
-
-struct IterationBound {
-  /// max over cycles of exec-sum / delay-sum, as an exact fraction.
-  std::int64_t numerator = 0;
-  std::int64_t denominator = 1;
-  [[nodiscard]] double value() const {
-    return static_cast<double>(numerator) / static_cast<double>(denominator);
-  }
-};
-
-/// Iteration bound of a HOMOGENEOUS graph (use expand_to_homogeneous
-/// first for multirate graphs): the maximum cycle mean of exec-time
-/// weights over delay counts, computed per SCC by parametric binary search
-/// with a Bellman-Ford feasibility test. Returns nullopt for acyclic
-/// graphs (no cycle limits throughput). Throws std::invalid_argument when
-/// a cycle has zero total delay (deadlock).
-[[nodiscard]] std::optional<IterationBound> iteration_bound(
-    const Graph& g, const std::vector<std::int64_t>& exec);
 
 }  // namespace sdf

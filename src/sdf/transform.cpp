@@ -63,84 +63,4 @@ HsdfExpansion expand_to_homogeneous(const Graph& g, const Repetitions& q,
   return out;
 }
 
-ClusteredGraph cluster_subgraph(const Graph& g, const Repetitions& q,
-                                const std::vector<ActorId>& members) {
-  if (members.empty()) {
-    throw std::invalid_argument("cluster_subgraph: empty member set");
-  }
-  std::vector<bool> in_cluster(g.num_actors(), false);
-  for (ActorId a : members) {
-    if (!g.valid_actor(a)) {
-      throw std::invalid_argument("cluster_subgraph: bad actor id");
-    }
-    in_cluster[static_cast<std::size_t>(a)] = true;
-  }
-
-  // Clustering creates a cycle iff a path leaves the cluster and returns.
-  // Search from every boundary successor.
-  {
-    std::vector<bool> seen(g.num_actors(), false);
-    std::vector<ActorId> work;
-    for (const Edge& e : g.edges()) {
-      if (in_cluster[static_cast<std::size_t>(e.src)] &&
-          !in_cluster[static_cast<std::size_t>(e.snk)] &&
-          !seen[static_cast<std::size_t>(e.snk)]) {
-        seen[static_cast<std::size_t>(e.snk)] = true;
-        work.push_back(e.snk);
-      }
-    }
-    while (!work.empty()) {
-      const ActorId x = work.back();
-      work.pop_back();
-      for (EdgeId eid : g.out_edges(x)) {
-        const ActorId s = g.edge(eid).snk;
-        if (in_cluster[static_cast<std::size_t>(s)]) {
-          throw std::invalid_argument(
-              "cluster_subgraph: clustering would create a cycle");
-        }
-        if (!seen[static_cast<std::size_t>(s)]) {
-          seen[static_cast<std::size_t>(s)] = true;
-          work.push_back(s);
-        }
-      }
-    }
-  }
-
-  ClusteredGraph out;
-  out.graph.set_name(g.name() + "_clustered");
-  out.image_of.assign(g.num_actors(), kInvalidActor);
-  for (std::size_t a = 0; a < g.num_actors(); ++a) {
-    if (!in_cluster[a]) {
-      out.image_of[a] =
-          out.graph.add_actor(g.actor(static_cast<ActorId>(a)).name);
-    }
-  }
-  out.supernode = out.graph.add_actor("cluster");
-  std::int64_t gcd = 0;
-  for (ActorId a : members) {
-    gcd = std::gcd(gcd, q[static_cast<std::size_t>(a)]);
-  }
-  out.supernode_repetitions = gcd;
-  for (ActorId a : members) out.image_of[static_cast<std::size_t>(a)] =
-      out.supernode;
-
-  for (const Edge& e : g.edges()) {
-    const bool src_in = in_cluster[static_cast<std::size_t>(e.src)];
-    const bool snk_in = in_cluster[static_cast<std::size_t>(e.snk)];
-    if (src_in && snk_in) continue;  // internal edge disappears
-    // Per-firing rates on the supernode side scale by the member's
-    // firings per supernode invocation.
-    const std::int64_t prod =
-        src_in ? e.prod * (q[static_cast<std::size_t>(e.src)] / gcd)
-               : e.prod;
-    const std::int64_t cns =
-        snk_in ? e.cns * (q[static_cast<std::size_t>(e.snk)] / gcd)
-               : e.cns;
-    out.graph.add_edge(out.image_of[static_cast<std::size_t>(e.src)],
-                       out.image_of[static_cast<std::size_t>(e.snk)], prod,
-                       cns, e.delay);
-  }
-  return out;
-}
-
 }  // namespace sdf

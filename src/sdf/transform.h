@@ -1,7 +1,7 @@
-// Graph transformations: SDF -> homogeneous (HSDF) expansion and subgraph
-// clustering. These are the substrates classic SDF tooling builds
-// multiprocessor scheduling and precedence analysis on; here they also
-// serve as test oracles (an expansion preserves token traffic exactly).
+// Graph transformation: SDF -> homogeneous (HSDF) expansion, the
+// substrate classic SDF tooling builds multiprocessor scheduling and
+// precedence analysis on; here it also serves as a test oracle (an
+// expansion preserves token traffic exactly).
 #pragma once
 
 #include <cstdint>
@@ -31,22 +31,5 @@ struct HsdfExpansion {
                                                   const Repetitions& q,
                                                   std::size_t max_nodes =
                                                       100000);
-
-/// Clusters `members` of `g` into one supernode firing `gcd(q(members))`
-/// times per period: rates on boundary edges are scaled so the clustered
-/// graph stays consistent. Throws std::invalid_argument when clustering
-/// would create a cycle through the rest of the graph or `members` is
-/// empty.
-struct ClusteredGraph {
-  Graph graph;
-  /// Actor in the clustered graph for each original actor (members map to
-  /// the supernode, which is the last actor).
-  std::vector<ActorId> image_of;
-  ActorId supernode = kInvalidActor;
-  std::int64_t supernode_repetitions = 0;
-};
-
-[[nodiscard]] ClusteredGraph cluster_subgraph(
-    const Graph& g, const Repetitions& q, const std::vector<ActorId>& members);
 
 }  // namespace sdf

@@ -33,7 +33,6 @@ Arena::~Arena() {
     obs::count("dp.arena.bytes", stats_.bytes_requested);
     obs::count("dp.arena.chunk_allocs", stats_.chunk_allocs);
     obs::count("dp.arena.oversize_chunks", stats_.oversize_chunks);
-    obs::count("dp.arena.resets", stats_.resets);
     // Session-max semantics (a gauge write per arena would report only the
     // last compile's high water; docs/OBSERVABILITY.md).
     if (stats_.high_water > obs::gauge_value("dp.arena.high_water_bytes")) {
@@ -144,11 +143,6 @@ void Arena::rewind(const Marker& m) noexcept {
   }
   cursor_ = chunk;
   stats_.bytes_in_use = m.in_use;
-}
-
-void Arena::reset() noexcept {
-  rewind(Marker{});
-  ++stats_.resets;
 }
 
 void Arena::release() noexcept {

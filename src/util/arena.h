@@ -21,7 +21,7 @@
 //
 // The arena never runs destructors: only trivially-destructible payloads
 // (PODs and vectors whose element memory also lives in the arena) belong
-// here. Memory is reclaimed by rewind()/reset()/release(), not free().
+// here. Memory is reclaimed by rewind()/release(), not free().
 //
 // Thread safety: none. One arena per compile, one compile per thread —
 // the same regime as the ResourceGovernor's DpMemoryCharge.
@@ -54,7 +54,6 @@ struct ArenaStats {
   std::int64_t chunk_bytes = 0;      ///< heap capacity currently held
   std::int64_t chunk_allocs = 0;     ///< cumulative heap chunk acquisitions
   std::int64_t oversize_chunks = 0;  ///< dedicated chunks for huge requests
-  std::int64_t resets = 0;           ///< reset() calls
 };
 
 class Arena {
@@ -100,8 +99,6 @@ class Arena {
   /// Drops everything allocated after `m` was taken. Chunk capacity (and
   /// the governor charge for it) is retained for reuse.
   void rewind(const Marker& m) noexcept;
-  /// rewind() to empty + counts one reset.
-  void reset() noexcept;
   /// Frees every chunk and releases the governor charge — the unwind step
   /// of the degradation ladder, so a retried rung starts from the same
   /// clean accounting the legacy per-rung DpMemoryCharge provided.
@@ -152,7 +149,7 @@ class Arena {
 /// `ArenaVector<T>` members can exist before an arena does (e.g. a
 /// SplitCosts slab cached on the heap by pipeline/explore_cache).
 /// Deallocation through an arena is a no-op — memory comes back at
-/// rewind/reset/release time.
+/// rewind/release time.
 template <typename T>
 class ArenaAllocator {
  public:
@@ -178,7 +175,7 @@ class ArenaAllocator {
     if (arena_ == nullptr) {
       ::operator delete(p, n * sizeof(T), std::align_val_t{alignof(T)});
     }
-    // Arena-backed memory is reclaimed by rewind/reset/release.
+    // Arena-backed memory is reclaimed by rewind/release.
   }
 
   [[nodiscard]] Arena* arena() const noexcept { return arena_; }

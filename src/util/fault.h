@@ -35,7 +35,7 @@ namespace sdf::fault {
 
 /// All registered injection-point names, in a fixed order:
 ///   parse_oom    — sdf::io parser, simulated allocation failure
-///   io_open      — load_graph/save_graph, simulated I/O failure
+///   io_open      — load_graph, simulated I/O failure
 ///   dp_mem       — chain_dp/dppo/sdppo DP-table memory budget trip
 ///   dp_deadline  — chain_dp/dppo/sdppo cooperative deadline trip
 ///   explore_point— one design-point evaluation in the explore sweep

@@ -6,16 +6,15 @@
 //     site historically threw (so `catch (std::invalid_argument)` keeps
 //     working) and the `SdfError` mixin that carries a `Diagnostic` —
 //     machine-readable code + offending actor/edge + source location.
-//   * The pipeline boundary (compile_checked, the CLI) converts
-//     any in-flight exception into a `Result<T>` via
-//     `diagnostic_from_exception` (sdf/diagnostics.h) instead of letting
-//     it unwind into the caller's face.
+//   * The pipeline boundary (the CLI) converts any in-flight exception
+//     into a `Diagnostic` via `diagnostic_from_exception`
+//     (sdf/diagnostics.h) instead of letting it unwind into the user's
+//     face.
 //
 // The taxonomy is closed and small on purpose: exit codes, telemetry
 // labels and the fault-injection matrix all key off `ErrorCode`.
 #pragma once
 
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -114,28 +113,5 @@ using ResourceExhaustedError =
     detail::TypedError<std::runtime_error, ErrorCode::kResourceExhausted>;
 using InternalError =
     detail::TypedError<std::logic_error, ErrorCode::kInternal>;
-
-/// Value-or-diagnostic return for the pipeline boundary. Interior code
-/// keeps throwing; the boundary catches once and hands callers this.
-template <typename T>
-class Result {
- public:
-  Result(T value) : value_(std::move(value)) {}  // NOLINT(runtime/explicit)
-  Result(Diagnostic diag) : diag_(std::move(diag)) {}  // NOLINT
-
-  [[nodiscard]] bool ok() const noexcept { return value_.has_value(); }
-  explicit operator bool() const noexcept { return ok(); }
-
-  /// Precondition: ok().
-  [[nodiscard]] const T& value() const { return *value_; }
-  [[nodiscard]] T& value() { return *value_; }
-
-  /// Precondition: !ok().
-  [[nodiscard]] const Diagnostic& error() const { return diag_; }
-
- private:
-  std::optional<T> value_;
-  Diagnostic diag_;
-};
 
 }  // namespace sdf

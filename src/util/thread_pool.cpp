@@ -33,7 +33,7 @@ ThreadPool::ThreadPool(int threads) {
     // whole sweep: work-stealing drains every queue with however many
     // workers actually started, and determinism never depends on pool
     // size. A pool that ends up with zero threads still makes progress —
-    // wait() runs queued tasks on the calling thread.
+    // a TaskGroup's wait() runs its queued tasks on the calling thread.
     try {
       if (fault::should_fail("pool_spawn")) {
         throw std::system_error(
@@ -61,10 +61,6 @@ ThreadPool::~ThreadPool() {
     obs::count("util.thread_pool.tasks", executed_.load());
     obs::count("util.thread_pool.steals", steals_.load());
   }
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  enqueue(Task{std::move(task), nullptr});
 }
 
 void ThreadPool::enqueue(Task task) {
@@ -113,7 +109,7 @@ bool ThreadPool::try_run_one(std::size_t self) {
 void ThreadPool::run_task(Task& task) {
   task.fn();
   executed_.fetch_add(1, std::memory_order_relaxed);
-  if (task.group != nullptr) task.group->finish();
+  task.group->finish();
   if (pending_.fetch_sub(1) == 1) {
     const std::lock_guard<std::mutex> lock(idle_mu_);
     done_cv_.notify_all();
@@ -153,7 +149,7 @@ void ThreadPool::worker_loop(std::size_t self) {
 
 void ThreadPool::wait() {
   // Degenerate pool (every spawn failed): the waiting thread drains the
-  // queues itself, so submitted work still runs and wait() terminates.
+  // queues itself, so enqueued work still runs and wait() terminates.
   if (threads_.empty()) {
     while (pending_.load() > 0 && try_run_one(0)) {
     }

@@ -2,22 +2,21 @@
 // fan-out, the helpers of the pipelined DPPO/SDPPO fill (sched/dppo.h),
 // and any other embarrassingly parallel sweep in the library.
 //
-// Design: one double-ended task queue per worker. submit() round-robins
-// tasks across the workers' queues; a worker pops from the back of its own
-// queue (LIFO, cache-warm) and, when empty, steals from the *front* of a
-// sibling's queue (FIFO, oldest task — the classic Blumofe/Leiserson
-// discipline, here with a per-queue mutex instead of a lock-free deque:
-// task bodies in this library run for micro- to milliseconds, so queue
-// operations are nowhere near the critical path).
+// Design: one double-ended task queue per worker. TaskGroup::run()
+// round-robins tasks across the workers' queues; a worker pops from the
+// back of its own queue (LIFO, cache-warm) and, when empty, steals from
+// the *front* of a sibling's queue (FIFO, oldest task — the classic
+// Blumofe/Leiserson discipline, here with a per-queue mutex instead of a
+// lock-free deque: task bodies in this library run for micro- to
+// milliseconds, so queue operations are nowhere near the critical path).
 //
 // Determinism contract: the pool runs tasks in a nondeterministic order on
 // nondeterministic threads — callers that need deterministic results must
 // write into pre-sized per-index slots and reduce in index order after the
-// wait returns (see parallel_for and pipeline/explore.cpp). A TaskGroup is
-// the per-call completion latch: its wait() covers only the tasks run
-// through it, and provides the happens-before edge — everything those
-// tasks wrote is visible to the caller once it returns. ThreadPool::wait()
-// still waits for the whole pool.
+// wait returns (see parallel_for and pipeline/explore.cpp). Every task runs
+// through a TaskGroup, the per-call completion latch: its wait() covers
+// only the tasks run through it, and provides the happens-before edge —
+// everything those tasks wrote is visible to the caller once it returns.
 //
 // Who gets threads: "serial by default" and the SDFMEM_JOBS / --jobs
 // setting (resolve_jobs) govern only the explore / table1_row fan-out. A
@@ -72,18 +71,11 @@ class ThreadPool {
 
   /// Number of successfully spawned worker threads. Less than size() when
   /// the OS refused a spawn (or the `pool_spawn` fault site fired); the
-  /// pool degrades rather than failing, and 0 is survivable — wait()
-  /// drains the queues on the calling thread.
+  /// pool degrades rather than failing, and 0 is survivable — a
+  /// TaskGroup's wait() runs its tasks on the calling thread.
   [[nodiscard]] int threads() const noexcept {
     return static_cast<int>(threads_.size());
   }
-
-  /// Enqueues a task. Safe from any thread, including from inside a task.
-  void submit(std::function<void()> task);
-
-  /// Blocks until every task submitted so far (including tasks spawned by
-  /// tasks) has finished. Establishes happens-before with their effects.
-  void wait();
 
   /// True on a worker thread of any ThreadPool: work started here already
   /// shares the cores with an outer fan-out.
@@ -104,7 +96,7 @@ class ThreadPool {
 
   struct Task {
     std::function<void()> fn;
-    TaskGroup* group = nullptr;  ///< the latch it counts in, if any
+    TaskGroup* group = nullptr;  ///< the latch it counts in
   };
 
   struct Worker {
@@ -113,6 +105,9 @@ class ThreadPool {
   };
 
   void enqueue(Task task);
+  /// Blocks until every enqueued task has finished (the destructor's
+  /// drain).
+  void wait();
   void worker_loop(std::size_t self);
   bool try_run_one(std::size_t self);
   void run_task(Task& task);
@@ -127,7 +122,7 @@ class ThreadPool {
   std::condition_variable done_cv_;   ///< wakes wait()
   std::atomic<std::size_t> queued_{0};   ///< tasks sitting in some deque
   std::atomic<std::size_t> pending_{0};  ///< queued + currently running
-  std::atomic<std::size_t> next_{0};     ///< round-robin submit cursor
+  std::atomic<std::size_t> next_{0};     ///< round-robin enqueue cursor
   std::atomic<bool> stop_{false};
   std::atomic<std::int64_t> steals_{0};
   std::atomic<std::int64_t> executed_{0};

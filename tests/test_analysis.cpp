@@ -117,19 +117,6 @@ TEST(Analysis, IsTopologicalOrderRejectsBadInputs) {
   EXPECT_TRUE(is_topological_order(g, {0, 2, 1, 3}));
 }
 
-TEST(Analysis, ReachableFromFollowsDirection) {
-  const Graph g = diamond();
-  const auto reach = reachable_from(g, 0);
-  EXPECT_FALSE(reach[0]);  // A not on a cycle
-  EXPECT_TRUE(reach[1]);
-  EXPECT_TRUE(reach[2]);
-  EXPECT_TRUE(reach[3]);
-  const auto reach_b = reachable_from(g, 1);
-  EXPECT_FALSE(reach_b[0]);
-  EXPECT_FALSE(reach_b[2]);
-  EXPECT_TRUE(reach_b[3]);
-}
-
 TEST(Analysis, SccSingletonsInDag) {
   const auto comp = strongly_connected_components(diamond());
   // All components distinct in a DAG.

@@ -75,7 +75,7 @@ TEST(CodeSize, CompactionReducesInlineSize) {
   const Graph g = testing::fig2_graph();
   const CodeSizeModel model = CodeSizeModel::uniform(g, 10);
   const Schedule verbose = parse_schedule(g, "A A A 2B 2B 2B C C");
-  const CompactionResult tight = recompact(verbose);
+  const CompactionResult tight = compact_firing_sequence(verbose.flatten());
   EXPECT_LT(inline_code_size(tight.schedule, model),
             inline_code_size(verbose, model));
 }

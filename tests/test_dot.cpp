@@ -29,15 +29,6 @@ TEST(Dot, GraphExportBalancedBraces) {
             static_cast<std::ptrdiff_t>(cd_to_dat().num_edges()));
 }
 
-TEST(Dot, ScheduleTreeExportShowsLoopsAndSpans) {
-  const Graph g = testing::fig2_graph();
-  const ScheduleTree tree(g, parse_schedule(g, "(3 (A)(2B))(2C)"));
-  const std::string dot = schedule_tree_to_dot(g, tree);
-  EXPECT_NE(dot.find("x3"), std::string::npos);   // the 3x loop
-  EXPECT_NE(dot.find("(2B)"), std::string::npos);  // residual leaf factor
-  EXPECT_NE(dot.find("[0,"), std::string::npos);   // spans
-}
-
 TEST(Dot, LifetimeGanttMarksLiveColumns) {
   const Graph g = testing::fig2_graph();
   const Repetitions q = repetitions_vector(g);
@@ -66,19 +57,6 @@ TEST(Dot, LifetimeGanttDownsamplesLongPeriods) {
 TEST(Dot, LifetimeGanttEmptyPeriod) {
   const Graph g = testing::fig2_graph();
   EXPECT_TRUE(lifetime_gantt(g, {}, 0).empty());
-}
-
-TEST(Dot, AllocationTextListsAllBuffers) {
-  const Graph g = cd_to_dat();
-  const CompileResult res = compile(g);
-  const std::string text =
-      allocation_to_text(g, res.lifetimes, res.allocation);
-  EXPECT_NE(text.find("pool size: " + std::to_string(res.shared_size)),
-            std::string::npos);
-  for (const Edge& e : g.edges()) {
-    EXPECT_NE(text.find(g.actor(e.src).name + "->" + g.actor(e.snk).name),
-              std::string::npos);
-  }
 }
 
 }  // namespace

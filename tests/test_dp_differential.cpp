@@ -27,6 +27,7 @@
 #include "obs/trace.h"
 #include "pipeline/compile.h"
 #include "pipeline/explore.h"
+#include "pipeline/governor.h"
 #include "sched/apgan.h"
 #include "sched/chain_dp.h"
 #include "sched/dppo.h"
@@ -618,7 +619,8 @@ CompileResult compile_serially(const Graph& g, const CompileOptions& opts) {
   CompileResult result;
   std::exception_ptr error;
   util::ThreadPool pool(1);
-  pool.submit([&] {
+  util::TaskGroup group(pool);
+  group.run([&] {
     EXPECT_TRUE(util::ThreadPool::on_worker_thread());
     try {
       result = compile(g, opts);
@@ -626,7 +628,7 @@ CompileResult compile_serially(const Graph& g, const CompileOptions& opts) {
       error = std::current_exception();
     }
   });
-  pool.wait();
+  group.wait();
   if (error) std::rethrow_exception(error);
   return result;
 }
@@ -674,6 +676,52 @@ TEST_F(DpDifferential, PipelinedFillTripSurfacesOnceAndReleasesTheHelpers) {
   EXPECT_EQ(obs::counter("sched.dp_fill.pipelined") > 0, host_pipelines());
   EXPECT_EQ(compile_fingerprint(g, clean),
             compile_fingerprint(g, compile_serially(g, opts)));
+}
+
+TEST_F(DpDifferential, RealDeadlineMidFillCountsOneTripPerRung) {
+  // A real deadline that expires during a pipelined fill is seen by every
+  // worker that reaches a checkpoint before the stop flag, but the ladder
+  // sees one exception per rung, and the trip counters must say the same.
+  // A 400-actor sdppo() fill takes 12 ms or more, so the 2 ms deadline
+  // trips both DP rungs; the longer ones expire deeper into the fill,
+  // where more workers are computing at once, and may let a rung finish.
+  const Graph g = benchmark_graph(400, RandomRateMode::kBoundedRepetitions);
+  const std::vector<ActorId> order = rpmc(g, repetitions_vector(g)).lexorder;
+  CompileOptions opts;
+  opts.optimizer = LoopOptimizer::kSdppo;
+  obs::set_enabled(true);
+  for (int round = 0; round < 3; ++round) {
+    for (const std::int64_t deadline_ms : {2, 8, 10, 12}) {
+      obs::reset();
+      ResourceBudget budget;
+      budget.deadline_ms = deadline_ms;
+      ResourceGovernor governor(budget);
+      CompileResult result;
+      {
+        const ResourceGovernor::Scope scope(governor);
+        result = compile_with_order(g, order, opts);
+      }
+      const auto tripped = [&](LoopOptimizer rung) {
+        return static_cast<std::int64_t>(
+            std::count(result.degraded_from.begin(),
+                       result.degraded_from.end(), rung));
+      };
+      if (deadline_ms == 2) {
+        EXPECT_EQ(result.degraded_from,
+                  (std::vector<LoopOptimizer>{LoopOptimizer::kSdppo,
+                                              LoopOptimizer::kDppo}));
+      }
+      EXPECT_EQ(obs::counter("pipeline.governor.trips"),
+                static_cast<std::int64_t>(result.degraded_from.size()))
+          << deadline_ms << " ms";
+      EXPECT_EQ(obs::counter("pipeline.governor.sched.sdppo.trips"),
+                tripped(LoopOptimizer::kSdppo))
+          << deadline_ms << " ms";
+      EXPECT_EQ(obs::counter("pipeline.governor.sched.dppo.trips"),
+                tripped(LoopOptimizer::kDppo))
+          << deadline_ms << " ms";
+    }
+  }
 }
 
 TEST_F(DpDifferential, ChainDpIsByteIdenticalToTheReference) {

@@ -7,6 +7,7 @@
 
 #include <functional>
 #include <random>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -156,17 +157,6 @@ std::vector<ThrowSite> throw_sites() {
          (void)chain_sdppo_exact(g, repetitions_vector(g), {});
        },
        ErrorCode::kBadOrder},
-      {"chain_dp: non-chain graph",
-       [] {
-         Graph g("tri");  // A feeds B and C: not a chain
-         const ActorId a = g.add_actor("A");
-         const ActorId b = g.add_actor("B");
-         const ActorId c = g.add_actor("C");
-         g.add_edge(a, b, 1, 1);
-         g.add_edge(a, c, 1, 1);
-         (void)chain_sdppo_exact(g, repetitions_vector(g));
-       },
-       ErrorCode::kBadArgument},
       {"demand_driven: deadlock",
        [] {
          const Graph g = deadlocked_cycle();
@@ -356,16 +346,16 @@ TEST(Errors, NamesAndExitCodesAreStable) {
   EXPECT_EQ(exit_code_for(ErrorCode::kResourceExhausted), 20);
   EXPECT_EQ(exit_code_for(ErrorCode::kInternal), 21);
 
+  // Names are distinct, and exit codes 22-26 are retired and never
+  // reused: no code carries one of their old names.
+  std::set<std::string_view> names;
   for (int c = 0; c <= static_cast<int>(ErrorCode::kInternal); ++c) {
-    const auto code = static_cast<ErrorCode>(c);
-    EXPECT_EQ(error_code_from_name(error_code_name(code)), code);
+    const std::string_view name = error_code_name(static_cast<ErrorCode>(c));
+    EXPECT_TRUE(names.insert(name).second) << name;
   }
-  EXPECT_EQ(error_code_from_name("no-such-code"), ErrorCode::kInternal);
-  // Exit codes 22-26 are retired and never reused: their old names are
-  // unknown now, like any other.
   for (const char* retired : {"corrupt-journal", "interrupted", "overloaded",
                               "unknown-tenant", "unavailable"}) {
-    EXPECT_EQ(error_code_from_name(retired), ErrorCode::kInternal) << retired;
+    EXPECT_EQ(names.count(retired), 0u) << retired;
   }
 }
 
@@ -392,18 +382,6 @@ TEST(Errors, DiagnosticFromExceptionClassifiesPlainStdTypes) {
             ErrorCode::kInternal);
   EXPECT_EQ(diagnostic_from_exception(std::runtime_error("x")).code,
             ErrorCode::kInternal);
-}
-
-TEST(Errors, CompileCheckedReturnsValueOrDiagnostic) {
-  const Result<CompileResult> ok = compile_checked(fig2_graph());
-  ASSERT_TRUE(ok.ok());
-  EXPECT_FALSE(ok.value().lexorder.empty());
-  EXPECT_TRUE(ok.value().degraded_from.empty());
-
-  const Result<CompileResult> bad = compile_checked(inconsistent_graph());
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.error().code, ErrorCode::kInconsistent);
-  EXPECT_FALSE(bad.error().message.empty());
 }
 
 TEST(Errors, DiagnosticToJsonShape) {

@@ -158,53 +158,10 @@ TEST(ExploreParallel, PointsCarryNoScheduleByDefault) {
   }
 }
 
-TEST(ExploreParallel, CacheCountersAreDeterministicAcrossJobCounts) {
-  // The memo cache computes 3 orderings + 9 loop-DP bases exactly once
-  // whatever the thread count; with 3 budgets the 27 point tasks then hit
-  // the base cache 27 times and the base computes hit the ordering cache
-  // 9 times. Misses/hits must not depend on scheduling.
-  const Graph g = qmf23(2);
-  ExploreOptions options;
-  options.appearance_budgets = {0, 16, 128};
-  for (const int jobs : {1, 4}) {
-    obs::set_enabled(true);
-    obs::reset();
-    options.jobs = jobs;
-    (void)explore_designs(g, options);
-    EXPECT_EQ(obs::counter("pipeline.explore.cache_miss"), 12)
-        << jobs << " jobs";
-    EXPECT_EQ(obs::counter("pipeline.explore.cache_hit"), 36)
-        << jobs << " jobs";
-    obs::set_enabled(false);
-    obs::reset();
-  }
-}
-
-TEST(ExploreParallel, SlabSharingOnOffIsByteIdentical) {
-  // The per-ordering SplitCosts slab (explore_cache.h) is a pure memo:
-  // turning it off must not move a single byte of output, at any job
-  // count.
-  for (const Graph& g : {satellite_receiver(), qmf23(2)}) {
-    ExploreOptions shared;
-    shared.jobs = 1;
-    shared.share_dp_bases = true;
-    const std::string want = fingerprint(g, explore_designs(g, shared));
-    for (const int jobs : {1, 4}) {
-      for (const bool share : {true, false}) {
-        ExploreOptions options;
-        options.jobs = jobs;
-        options.share_dp_bases = share;
-        EXPECT_EQ(fingerprint(g, explore_designs(g, options)), want)
-            << g.name() << " jobs=" << jobs << " share=" << share;
-      }
-    }
-  }
-}
-
 TEST(ExploreParallel, SlabCountersAreDeterministicAcrossJobCounts) {
   // Slab builds happen inside the registry mutex, so misses == distinct
   // ordering hashes and hits == remaining DP-base lookups — independent
-  // of thread interleaving. With sharing off, the registry stays silent.
+  // of thread interleaving.
   const Graph g = qmf23(2);
   std::int64_t want_hits = -1;
   std::int64_t want_misses = -1;
@@ -228,17 +185,6 @@ TEST(ExploreParallel, SlabCountersAreDeterministicAcrossJobCounts) {
       EXPECT_EQ(misses, want_misses) << jobs << " jobs";
     }
   }
-
-  obs::set_enabled(true);
-  obs::reset();
-  ExploreOptions off;
-  off.jobs = 4;
-  off.share_dp_bases = false;
-  (void)explore_designs(g, off);
-  EXPECT_EQ(obs::counter("dp.arena.slab_hits"), 0);
-  EXPECT_EQ(obs::counter("dp.arena.slab_misses"), 0);
-  obs::set_enabled(false);
-  obs::reset();
 }
 
 TEST(ExploreParallel, SlabRegistryUnderMemoryPressureStaysValid) {
@@ -335,10 +281,11 @@ TEST(ExploreParallel, PipelinedFillsOnTheCallerMatchSerialFillsOnWorkers) {
 TEST(ThreadPool, RunsEverySubmittedTask) {
   util::ThreadPool pool(4);
   std::atomic<int> ran{0};
+  util::TaskGroup group(pool);
   for (int i = 0; i < 500; ++i) {
-    pool.submit([&ran] { ran.fetch_add(1); });
+    group.run([&ran] { ran.fetch_add(1); });
   }
-  pool.wait();
+  group.wait();
   EXPECT_EQ(ran.load(), 500);
 }
 
@@ -369,21 +316,23 @@ TEST(ThreadPool, ParallelForRethrowsLowestIndexException) {
 TEST(ThreadPool, WaitDrainsTasksSpawnedByTasks) {
   util::ThreadPool pool(2);
   std::atomic<int> ran{0};
+  util::TaskGroup group(pool);
   for (int i = 0; i < 8; ++i) {
-    pool.submit([&pool, &ran] {
-      pool.submit([&ran] { ran.fetch_add(1); });
+    group.run([&group, &ran] {
+      group.run([&ran] { ran.fetch_add(1); });
     });
   }
-  pool.wait();
+  group.wait();
   EXPECT_EQ(ran.load(), 8);
 }
 
 TEST(ThreadPool, TaskGroupWaitsForItsOwnTasksOnly) {
-  // A task outside the group keeps running; the group's wait returns once
-  // the group's own tasks are done (pool.wait() would block on both).
+  // A task of another group keeps running; the group's wait returns once
+  // the group's own tasks are done.
   util::ThreadPool pool(2);
   std::atomic<bool> release{false};
-  pool.submit([&release] {
+  util::TaskGroup other(pool);
+  other.run([&release] {
     while (!release.load()) std::this_thread::yield();
   });
   std::atomic<int> ran{0};
@@ -394,7 +343,7 @@ TEST(ThreadPool, TaskGroupWaitsForItsOwnTasksOnly) {
     EXPECT_EQ(ran.load(), 32);
   }
   release.store(true);
-  pool.wait();
+  other.wait();
 }
 
 TEST(ThreadPool, NestedParallelForOnTheSamePoolCompletes) {
@@ -416,12 +365,13 @@ TEST(ThreadPool, OnlyWorkerThreadsReportOnWorkerThread) {
   EXPECT_FALSE(util::ThreadPool::on_worker_thread());
   util::ThreadPool pool(2);
   std::atomic<int> on_worker{0};
+  util::TaskGroup group(pool);
   for (int i = 0; i < 8; ++i) {
-    pool.submit([&on_worker] {
+    group.run([&on_worker] {
       on_worker.fetch_add(util::ThreadPool::on_worker_thread() ? 1 : 0);
     });
   }
-  pool.wait();
+  group.wait();
   EXPECT_EQ(on_worker.load(), 8);
 }
 

@@ -114,8 +114,14 @@ TEST_F(Faults, ParseOomSiteForcesResourceExhaustedWithLocation) {
 
 TEST_F(Faults, IoOpenSiteForcesIoError) {
   fault::configure("io_open:1", 0);
-  EXPECT_THROW(save_graph(fig2_graph(), "/tmp/sdfmem_fault_test.sdf"),
-               IoError);
+  try {
+    (void)load_graph("sdfmem_fault_test.sdf");
+    FAIL() << "expected injected io_open";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string_view(e.what()).find("injected"),
+              std::string_view::npos)
+        << e.what();
+  }
   EXPECT_EQ(fault::fire_count("io_open"), 1);
 }
 

@@ -77,7 +77,7 @@ TEST(GraphIo, RejectsMalformedInput) {
 TEST(GraphIo, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/sdfmem_io_test.sdf";
   const Graph g = cd_to_dat();
-  save_graph(g, path);
+  std::ofstream(path) << write_graph_text(g);
   const Graph back = load_graph(path);
   EXPECT_EQ(back.num_actors(), g.num_actors());
   EXPECT_EQ(back.num_edges(), g.num_edges());

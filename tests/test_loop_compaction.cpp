@@ -98,7 +98,7 @@ TEST(LoopCompaction, RecompactNeverIncreasesAppearances) {
   for (const char* text :
        {"(3A)(6B)(2C)", "(3 (A)(2B))(2C)", "A 2B A B C A 3B C"}) {
     const Schedule s = parse_schedule(g, text);
-    const CompactionResult r = recompact(s);
+    const CompactionResult r = compact_firing_sequence(s.flatten());
     EXPECT_LE(r.appearances, s.num_leaves()) << text;
     EXPECT_EQ(r.schedule.flatten(), s.flatten()) << text;
   }

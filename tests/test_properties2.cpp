@@ -84,7 +84,7 @@ TEST_P(ExtensionProperties, LoopCompactionRoundTripsSasSchedules) {
     GTEST_SKIP() << "period too long for the compaction DP";
   }
   const CompileResult res = compile(g);
-  const CompactionResult r = recompact(res.schedule);
+  const CompactionResult r = compact_firing_sequence(res.schedule.flatten());
   EXPECT_EQ(r.schedule.flatten(), res.schedule.flatten());
   EXPECT_LE(r.appearances, res.schedule.num_leaves());
   EXPECT_TRUE(is_valid_schedule(g, q, r.schedule));

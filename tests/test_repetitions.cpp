@@ -140,7 +140,6 @@ TEST(Tnse, MatchesProdTimesRepetitions) {
   const Repetitions q = repetitions_vector(g);
   EXPECT_EQ(tnse(g, q, 0), 6);  // A fires 3x producing 2
   EXPECT_EQ(tnse(g, q, 1), 6);  // B fires 6x producing 1
-  EXPECT_EQ(total_tnse(g, q), 12);
 }
 
 TEST(Tnse, EqualFromBothEndpoints) {

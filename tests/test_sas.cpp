@@ -131,11 +131,5 @@ TEST(ScheduleFromSplits, MalformedSplitTableThrows) {
                std::logic_error);
 }
 
-TEST(BufmemNonshared, MatchesSimulator) {
-  const Graph g = fig2_graph();
-  const Schedule s = parse_schedule(g, "(3 (A)(2B))(2C)");
-  EXPECT_EQ(bufmem_nonshared(g, s), 40);
-}
-
 }  // namespace
 }  // namespace sdf

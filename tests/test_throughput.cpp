@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "graphs/cddat.h"
-#include "sdf/transform.h"
 #include "test_util.h"
 
 namespace sdf {
@@ -63,86 +62,6 @@ TEST(CriticalPath, ValidatesArguments) {
   EXPECT_THROW((void)critical_path_latency(big, repetitions_vector(big),
                                      {1, 1, 1, 1, 1, 1}, /*max_nodes=*/10),
                std::length_error);
-}
-
-TEST(IterationBound, AcyclicHasNone) {
-  const Graph g = testing::fig2_graph();
-  EXPECT_FALSE(iteration_bound(g, {1, 1, 1}).has_value());
-}
-
-TEST(IterationBound, SimpleLoopMean) {
-  // A -> B -> A with 2 delays on the back edge: bound = (tA + tB) / 2.
-  Graph g;
-  const ActorId a = g.add_actor("A");
-  const ActorId b = g.add_actor("B");
-  g.connect(a, b);
-  g.add_edge(b, a, 1, 1, 2);
-  const auto bound = iteration_bound(g, {3, 4});
-  ASSERT_TRUE(bound.has_value());
-  EXPECT_EQ(bound->numerator, 7);
-  EXPECT_EQ(bound->denominator, 2);
-  EXPECT_DOUBLE_EQ(bound->value(), 3.5);
-}
-
-TEST(IterationBound, TakesTheWorstCycle) {
-  // Two loops sharing A: A<->B (1 delay, weight 5) and A<->C (2 delays,
-  // weight 12): means 5 and 6 -> bound 6.
-  Graph g;
-  const ActorId a = g.add_actor("A");
-  const ActorId b = g.add_actor("B");
-  const ActorId c = g.add_actor("C");
-  g.connect(a, b);
-  g.add_edge(b, a, 1, 1, 1);
-  g.connect(a, c);
-  g.add_edge(c, a, 1, 1, 2);
-  const auto bound = iteration_bound(g, {2, 3, 10});
-  ASSERT_TRUE(bound.has_value());
-  EXPECT_EQ(bound->numerator, 6);
-  EXPECT_EQ(bound->denominator, 1);
-}
-
-TEST(IterationBound, SelfLoopState) {
-  Graph g;
-  const ActorId a = g.add_actor("A");
-  g.add_edge(a, a, 1, 1, 1);
-  const auto bound = iteration_bound(g, {9});
-  ASSERT_TRUE(bound.has_value());
-  EXPECT_EQ(bound->numerator, 9);
-  EXPECT_EQ(bound->denominator, 1);
-}
-
-TEST(IterationBound, DelayFreeCycleThrows) {
-  Graph g;
-  const ActorId a = g.add_actor("A");
-  const ActorId b = g.add_actor("B");
-  g.connect(a, b);
-  g.connect(b, a);  // no delay: deadlock
-  EXPECT_THROW((void)iteration_bound(g, {1, 1}), std::invalid_argument);
-}
-
-TEST(IterationBound, MultirateViaExpansion) {
-  // Multirate loop: A -(2/1)-> B, B -(1/2)-> A with 4 delays; expand to
-  // HSDF first. q = (1, 2); exec A=6, B=1 per firing.
-  Graph g;
-  const ActorId a = g.add_actor("A");
-  const ActorId b = g.add_actor("B");
-  g.add_edge(a, b, 2, 1);
-  g.add_edge(b, a, 1, 2, 4);
-  const Repetitions q = repetitions_vector(g);
-  const HsdfExpansion x = expand_to_homogeneous(g, q);
-  std::vector<std::int64_t> exec;
-  for (ActorId original : x.actor_of) {
-    exec.push_back(original == a ? 6 : 1);
-  }
-  const auto bound = iteration_bound(x.graph, exec);
-  ASSERT_TRUE(bound.has_value());
-  EXPECT_GT(bound->value(), 0.0);
-}
-
-TEST(IterationBound, ValidatesArguments) {
-  const Graph g = testing::two_actor(1, 1);
-  EXPECT_THROW((void)iteration_bound(g, {1}), std::invalid_argument);
-  EXPECT_THROW((void)iteration_bound(g, {-1, 1}), std::invalid_argument);
 }
 
 }  // namespace

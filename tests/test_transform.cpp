@@ -90,50 +90,5 @@ TEST(HsdfExpansion, GuardsAgainstExplosion) {
                std::length_error);
 }
 
-TEST(ClusterSubgraph, BasicPairCluster) {
-  const Graph g = fig2_graph();  // A -> B -> C, q = (3, 6, 2)
-  const Repetitions q = repetitions_vector(g);
-  const ClusteredGraph c = cluster_subgraph(g, q, {0, 1});  // cluster A,B
-  EXPECT_EQ(c.graph.num_actors(), 2u);  // C + supernode
-  EXPECT_EQ(c.supernode_repetitions, 3);  // gcd(3, 6)
-  // Boundary edge B->C: prod scales by q(B)/gcd = 2 -> prod 10.
-  ASSERT_EQ(c.graph.num_edges(), 1u);
-  EXPECT_EQ(c.graph.edge(0).prod, 10);
-  EXPECT_EQ(c.graph.edge(0).cns, 15);
-  // The clustered graph stays consistent with q(super) = 3, q(C) = 2.
-  const Repetitions qc = repetitions_vector(c.graph);
-  EXPECT_EQ(qc[static_cast<std::size_t>(c.supernode)] * 10,
-            qc[static_cast<std::size_t>(c.image_of[2])] * 15);
-}
-
-TEST(ClusterSubgraph, RejectsCycleCreation) {
-  // A -> B -> C and A -> C: clustering {A, C} creates a cycle through B.
-  Graph g;
-  const ActorId a = g.add_actor("A");
-  const ActorId b = g.add_actor("B");
-  const ActorId c = g.add_actor("C");
-  g.connect(a, b);
-  g.connect(b, c);
-  g.connect(a, c);
-  EXPECT_THROW(cluster_subgraph(g, {1, 1, 1}, {a, c}),
-               std::invalid_argument);
-}
-
-TEST(ClusterSubgraph, ValidatesInputs) {
-  const Graph g = fig2_graph();
-  const Repetitions q = repetitions_vector(g);
-  EXPECT_THROW(cluster_subgraph(g, q, {}), std::invalid_argument);
-  EXPECT_THROW(cluster_subgraph(g, q, {9}), std::invalid_argument);
-}
-
-TEST(ClusterSubgraph, WholeGraphClusterHasNoEdges) {
-  const Graph g = fig2_graph();
-  const Repetitions q = repetitions_vector(g);
-  const ClusteredGraph c = cluster_subgraph(g, q, {0, 1, 2});
-  EXPECT_EQ(c.graph.num_actors(), 1u);
-  EXPECT_EQ(c.graph.num_edges(), 0u);
-  EXPECT_EQ(c.supernode_repetitions, 1);  // gcd(3,6,2)
-}
-
 }  // namespace
 }  // namespace sdf
